@@ -249,6 +249,87 @@ TEST(WireFabric, PostcardEventFilterSuppressesStableFlows) {
   EXPECT_EQ(fabric.stats().postcard_observations, 50u * 5u);
 }
 
+// Pins the simulator's event order on a congested fabric: 1 Gb/s shaped
+// links, 1% monitoring loss, postcards and switch-id|queue-depth|hop-latency
+// INT, so sampled queue depths land in collector memory. The partial
+// run(until) steps stop mid-burst, where egress queues hold packets whose
+// departures fall between events; an elephant burst overflows a host
+// uplink's 256-packet queue. Everything the run leaves behind goes into one
+// xxhash64 digest: collector memory, per-link stats, fabric stats, and the
+// clock and every link's queue depth after each partial step. Any change to
+// event order, queue accounting or INT bytes moves the digest.
+TEST(WireFabric, SeededCongestedRunDigestIsPinned) {
+  auto cfg = config(4, /*loss=*/0.01);
+  cfg.n_collectors = 2;
+  cfg.int_instructions = static_cast<std::uint16_t>(
+      kIntInsSwitchId | kIntInsQueueDepth | kIntInsHopLatency);
+  cfg.data_link_shape = {.bandwidth_bps = 1'000'000'000, .queue_cap = 256};
+  cfg.postcards = true;
+  cfg.postcard_detector = {.table_size = 1 << 12, .threshold = 1};
+  WireFabric fabric(cfg);
+  auto& sim = fabric.simulator();
+  const auto& topo = fabric.topology();
+
+  FlowGenerator gen(topo, 41);
+  for (const std::uint64_t at : {0ull, 20'000ull, 45'000ull}) {
+    sim.schedule(at, [&fabric, &gen] {
+      for (std::uint32_t f = 0; f < 64; ++f) {
+        const auto fe = gen.next_flow();
+        fabric.send_flow(fe.tuple, fe.src_host, 6, 64 + 8 * (f % 5));
+      }
+    });
+  }
+  const auto elephant = make_flow(topo, 3, 12, 40000);
+  sim.schedule(45'000, [&fabric, &elephant] {
+    fabric.send_flow(elephant, 3, 300, 100);
+  });
+
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t v) { h = xxhash64_of(v, h); };
+  const std::uint32_t n_nodes =
+      fabric.n_collectors() + topo.n_switches() + topo.n_hosts();
+  for (const std::uint64_t until :
+       {3'500ull, 10'250ull, 21'000ull, 33'333ull, 46'100ull, 60'000ull,
+        200'000ull}) {
+    sim.run(until);
+    mix(sim.now_ns());
+    for (net::NodeId a = 0; a < n_nodes; ++a) {
+      for (net::NodeId b = 0; b < n_nodes; ++b) {
+        mix(sim.link_queue_depth(a, b));
+      }
+    }
+  }
+  fabric.run();
+  mix(sim.now_ns());
+
+  for (std::uint32_t c = 0; c < fabric.n_collectors(); ++c) {
+    h = xxhash64(fabric.cluster().collector(c).store().memory(), h);
+  }
+  for (net::LinkId l = 0; l < sim.n_links(); ++l) {
+    const auto& ls = sim.link_stats(l);
+    for (const std::uint64_t v :
+         {ls.delivered, ls.dropped, ls.queue_drops, ls.partitioned,
+          ls.corrupted, std::uint64_t{ls.max_queue}}) {
+      mix(v);
+    }
+  }
+  const auto st = fabric.stats();
+  for (const std::uint64_t v :
+       {st.host_packets_sent, st.host_packets_received, st.switch_hops,
+        st.int_sources, st.int_sinks, st.int_overhead_bytes,
+        st.reports_emitted, std::uint64_t{st.max_reported_queue_depth},
+        st.postcard_observations, st.postcard_reports}) {
+    mix(v);
+  }
+
+  // The run must exercise what the digest pins.
+  EXPECT_GT(st.max_reported_queue_depth, 10u);
+  EXPECT_GT(sim.total_queue_drops(), 0u);
+  EXPECT_GT(sim.total_dropped(), 0u);
+  EXPECT_GT(st.postcard_reports, 0u);
+  EXPECT_EQ(h, 0x9dffc395794936c1ull);
+}
+
 TEST(WireFabric, Figure2CompleteInOneSimulator) {
   // The whole paper picture in one event-driven simulation: hosts send
   // traffic, switches do INT + DART reporting to RNICs, and an operator
