@@ -1,5 +1,6 @@
 #include "net/netsim.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -23,6 +24,8 @@ bool GilbertElliottLoss::drop(Xoshiro256& rng) {
 NodeId Simulator::add_node(Node& node) {
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(&node);
+  first_out_.push_back(kNoLink);
+  last_out_.push_back(kNoLink);
   node.attach(*this, id);
   return id;
 }
@@ -30,14 +33,21 @@ NodeId Simulator::add_node(Node& node) {
 LinkId Simulator::add_link(NodeId from, NodeId to, std::uint64_t latency_ns,
                            std::unique_ptr<LossModel> loss, LinkShape shape) {
   assert(from < nodes_.size() && to < nodes_.size());
+  const auto id = static_cast<LinkId>(links_.size());
   Link link;
-  link.from = from;
   link.to = to;
   link.latency_ns = latency_ns;
   link.loss = loss ? std::move(loss) : std::make_unique<NoLoss>();
   link.shape = shape;
   links_.push_back(std::move(link));
-  return static_cast<LinkId>(links_.size() - 1);
+  out_edges_.push_back(OutEdge{to});
+  if (last_out_[from] == kNoLink) {
+    first_out_[from] = id;
+  } else {
+    out_edges_[last_out_[from]].next = id;
+  }
+  last_out_[from] = id;
+  return id;
 }
 
 void Simulator::connect(NodeId a, NodeId b, std::uint64_t latency_ns,
@@ -50,16 +60,17 @@ void Simulator::connect(NodeId a, NodeId b, std::uint64_t latency_ns,
   add_link(b, a, latency_ns, make_loss());
 }
 
-Link* Simulator::find_link(NodeId from, NodeId to) noexcept {
-  for (auto& l : links_) {
-    if (l.from == from && l.to == to) return &l;
-  }
-  return nullptr;
+LinkId Simulator::find_link(NodeId from, NodeId to) const noexcept {
+  if (from >= first_out_.size()) return kNoLink;
+  LinkId id = first_out_[from];
+  while (id != kNoLink && out_edges_[id].to != to) id = out_edges_[id].next;
+  return id;
 }
 
 void Simulator::send(NodeId from, NodeId to, Packet packet) {
-  Link* link = find_link(from, to);
-  assert(link != nullptr && "send over a link that does not exist");
+  const LinkId id = find_link(from, to);
+  assert(id != kNoLink && "send over a link that does not exist");
+  Link* link = &links_[id];
   if (!link->up) {
     // Partitioned link: silently eats packets, like a dead cable. Counted
     // separately from loss-model drops so conservation checks can tell an
@@ -88,7 +99,10 @@ void Simulator::send(NodeId from, NodeId to, Packet packet) {
     deliver_at = now_ns_ + link->latency_ns;
   } else {
     // Shaped link: serialize behind earlier packets; tail-drop a full queue.
-    if (link->shape.queue_cap != 0 && link->queued >= link->shape.queue_cap) {
+    retire_departed(*link);
+    const auto queued =
+        static_cast<std::uint32_t>(link->departures.size() - link->head);
+    if (link->shape.queue_cap != 0 && queued >= link->shape.queue_cap) {
       ++link->stats.queue_drops;
       return;
     }
@@ -98,43 +112,97 @@ void Simulator::send(NodeId from, NodeId to, Packet packet) {
     link->busy_until_ns = start + serialization_ns;
     deliver_at = link->busy_until_ns + link->latency_ns;
 
-    ++link->queued;
-    link->stats.max_queue = std::max(link->stats.max_queue, link->queued);
-    // The packet leaves the egress queue when fully serialized. Capture the
-    // link by index: links_ may reallocate if topology grows later.
-    const std::uint64_t serialized_at = link->busy_until_ns;
-    const auto link_idx = static_cast<std::size_t>(link - links_.data());
-    schedule(serialized_at, [this, link_idx] { --links_[link_idx].queued; });
+    link->stats.max_queue = std::max(link->stats.max_queue, queued + 1);
+    // The packet leaves the egress queue when fully serialized; its
+    // departure takes the seq an event scheduled here would have taken.
+    link->departures.push_back(Departure{link->busy_until_ns, seq_++});
+    if (!link->pending) {
+      link->pending = true;
+      pending_links_.push_back(id);
+    }
   }
 
   ++link->stats.delivered;
-  Node* dst = nodes_[to];
-  schedule(deliver_at, [dst, deliver_at, p = std::move(packet)]() mutable {
-    dst->receive(std::move(p), deliver_at);
-  });
+  push_event(deliver_at, EventKind::kDeliver, to,
+             packets_.put(std::move(packet)));
 }
 
 std::uint32_t Simulator::link_queue_depth(NodeId from, NodeId to) const noexcept {
-  for (const auto& l : links_) {
-    if (l.from == from && l.to == to) return l.queued;
+  const LinkId id = find_link(from, to);
+  if (id == kNoLink) return 0;
+  const Link& link = links_[id];
+  std::size_t first = link.head;
+  while (first < link.departures.size() && departed(link.departures[first])) {
+    ++first;
   }
-  return 0;
+  return static_cast<std::uint32_t>(link.departures.size() - first);
 }
 
 void Simulator::schedule(std::uint64_t at_ns, std::function<void()> fn) {
-  queue_.push(Event{at_ns < now_ns_ ? now_ns_ : at_ns, seq_++, std::move(fn)});
+  push_event(at_ns, EventKind::kCallback, kInvalidNode,
+             callbacks_.put(std::move(fn)));
+}
+
+void Simulator::push_event(std::uint64_t at_ns, EventKind kind, NodeId target,
+                           std::uint32_t slot) {
+  events_.push_back(
+      Event{std::max(at_ns, now_ns_), seq_++, target, slot, kind});
+  std::push_heap(events_.begin(), events_.end(), EventLater{});
+}
+
+void Simulator::retire_departed(Link& link) noexcept {
+  while (link.head < link.departures.size() &&
+         departed(link.departures[link.head])) {
+    ++link.head;
+  }
+  if (link.head == link.departures.size()) {
+    link.departures.clear();  // keeps the capacity
+    link.head = 0;
+  } else if (link.head >= 64 && 2 * link.head >= link.departures.size()) {
+    // A queue that never drains: drop the retired prefix.
+    link.departures.erase(link.departures.begin(),
+                          link.departures.begin() +
+                              static_cast<std::ptrdiff_t>(link.head));
+    link.head = 0;
+  }
+}
+
+void Simulator::retire_through(std::uint64_t until_ns) noexcept {
+  // Every departure at or before `until_ns` would have run as an event
+  // before run(until_ns) stopped, and the clock would rest on the last one.
+  for (std::size_t i = 0; i < pending_links_.size();) {
+    Link& link = links_[pending_links_[i]];
+    while (link.head < link.departures.size() &&
+           link.departures[link.head].at_ns <= until_ns) {
+      now_ns_ = std::max(now_ns_, link.departures[link.head].at_ns);
+      ++link.head;
+    }
+    if (link.head < link.departures.size()) {
+      ++i;
+      continue;
+    }
+    link.departures.clear();
+    link.head = 0;
+    link.pending = false;
+    pending_links_[i] = pending_links_.back();
+    pending_links_.pop_back();
+  }
 }
 
 void Simulator::run(std::uint64_t until_ns) {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; the event is copied out cheaply since the
-    // payload is a shared-state std::function.
-    Event ev = queue_.top();
-    if (ev.at_ns > until_ns) break;
-    queue_.pop();
+  while (!events_.empty() && events_.front().at_ns <= until_ns) {
+    std::pop_heap(events_.begin(), events_.end(), EventLater{});
+    const Event ev = events_.back();
+    events_.pop_back();
     now_ns_ = ev.at_ns;
-    ev.fn();
+    last_seq_ = ev.seq;
+    if (ev.kind == EventKind::kDeliver) {
+      nodes_[ev.target]->receive(packets_.take(ev.slot), ev.at_ns);
+    } else {
+      callbacks_.take(ev.slot)();
+    }
   }
+  retire_through(until_ns);
 }
 
 std::uint64_t Simulator::total_delivered() const noexcept {

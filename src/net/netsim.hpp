@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -137,24 +136,11 @@ struct LinkShape {
   std::uint32_t queue_cap = 0;      // packets; 0 = unbounded
 };
 
-// Unidirectional link. Use Simulator::connect for a bidirectional pair.
-struct Link {
-  NodeId from = kInvalidNode;
-  NodeId to = kInvalidNode;
-  std::uint64_t latency_ns = 1000;
-  std::unique_ptr<LossModel> loss;
-  LinkShape shape;
-  std::uint64_t busy_until_ns = 0;  // when the serializer frees up
-  std::uint32_t queued = 0;         // packets waiting or serializing
-  bool up = true;                   // false = administratively partitioned
-  double corrupt_rate = 0.0;        // per-packet byte-corruption probability
-  LinkStats stats;
-};
-
 using LinkId = std::uint32_t;
 
 // Discrete-event simulator: a time-ordered queue of packet deliveries and
-// timer callbacks.
+// timer callbacks. Events run in (time, schedule order); a shaped link's
+// egress departures are kept per link and retired in that same order.
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
@@ -216,10 +202,43 @@ class Simulator {
   [[nodiscard]] Xoshiro256& rng() noexcept { return rng_; }
 
  private:
+  static constexpr LinkId kNoLink = 0xFFFF'FFFFu;
+
+  // A shaped link's egress departure: the packet leaves the queue once fully
+  // serialized. Not a heap event; it is retired once an event with a later
+  // (at_ns, seq) key runs, or by the exit of run(until), exactly when it
+  // would have fired as an event.
+  struct Departure {
+    std::uint64_t at_ns;
+    std::uint64_t seq;
+  };
+
+  // Unidirectional link. Use connect() for a bidirectional pair.
+  struct Link {
+    NodeId to = kInvalidNode;
+    std::uint64_t latency_ns = 1000;
+    std::unique_ptr<LossModel> loss;
+    LinkShape shape;
+    std::uint64_t busy_until_ns = 0;  // when the serializer frees up
+    bool up = true;                   // false = administratively partitioned
+    bool pending = false;             // listed in pending_links_
+    double corrupt_rate = 0.0;        // per-packet byte-corruption probability
+    LinkStats stats;
+    // Packets waiting or serializing, oldest first, from index `head`. Empty
+    // (no allocation) until the link first queues a packet.
+    std::vector<Departure> departures;
+    std::size_t head = 0;
+  };
+
+  // One entry of the time-ordered event heap. Trivially copyable: the packet
+  // or callback it fires waits in a slot pool and is moved out when it runs.
+  enum class EventKind : std::uint8_t { kDeliver, kCallback };
   struct Event {
     std::uint64_t at_ns;
-    std::uint64_t seq;  // tie-break for deterministic ordering
-    std::function<void()> fn;
+    std::uint64_t seq;    // tie-break for deterministic ordering
+    NodeId target;        // kDeliver: the receiving node
+    std::uint32_t slot;   // index into packets_ or callbacks_
+    EventKind kind;
   };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -227,12 +246,60 @@ class Simulator {
     }
   };
 
-  [[nodiscard]] Link* find_link(NodeId from, NodeId to) noexcept;
+  // Values parked until their event fires; freed slots are reused.
+  template <typename T>
+  class SlotPool {
+   public:
+    std::uint32_t put(T value) {
+      if (free_.empty()) {
+        slots_.push_back(std::move(value));
+        return static_cast<std::uint32_t>(slots_.size() - 1);
+      }
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      slots_[slot] = std::move(value);
+      return slot;
+    }
+    T take(std::uint32_t slot) {
+      T value = std::move(slots_[slot]);
+      free_.push_back(slot);
+      return value;
+    }
+
+   private:
+    std::vector<T> slots_;
+    std::vector<std::uint32_t> free_;
+  };
+
+  // A link's place in its source node's chain of outgoing links, kept in
+  // add_link order so the first-added link to a destination wins.
+  struct OutEdge {
+    NodeId to;
+    LinkId next = kNoLink;  // the source's next outgoing link
+  };
+
+  [[nodiscard]] LinkId find_link(NodeId from, NodeId to) const noexcept;
+  void push_event(std::uint64_t at_ns, EventKind kind, NodeId target,
+                  std::uint32_t slot);
+  // True once `d` would have fired as an event: its key precedes the one of
+  // the event that ran last.
+  [[nodiscard]] bool departed(const Departure& d) const noexcept {
+    return d.at_ns < now_ns_ || (d.at_ns == now_ns_ && d.seq < last_seq_);
+  }
+  void retire_departed(Link& link) noexcept;
+  void retire_through(std::uint64_t until_ns) noexcept;
 
   std::vector<Node*> nodes_;
+  std::vector<LinkId> first_out_;  // by node: head of its outgoing chain
+  std::vector<LinkId> last_out_;   // by node: tail of its outgoing chain
+  std::vector<OutEdge> out_edges_;  // by link
   std::vector<Link> links_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<LinkId> pending_links_;  // links that may hold departures
+  std::vector<Event> events_;          // binary min-heap on (at_ns, seq)
+  SlotPool<Packet> packets_;
+  SlotPool<std::function<void()>> callbacks_;
   std::uint64_t now_ns_ = 0;
+  std::uint64_t last_seq_ = 0;  // seq of the event that ran last
   std::uint64_t seq_ = 0;
   Xoshiro256 rng_;
 };

@@ -32,6 +32,18 @@ class ForwardNode final : public Node {
   NodeId* next_;
 };
 
+// Node that logs each delivered packet's size into a shared event log.
+class LogNode final : public Node {
+ public:
+  explicit LogNode(std::vector<int>* log) : log_(log) {}
+  void receive(Packet packet, std::uint64_t) override {
+    log_->push_back(static_cast<int>(packet.size()));
+  }
+
+ private:
+  std::vector<int>* log_;
+};
+
 Packet make_packet(std::size_t n) {
   return Packet(std::vector<std::byte>(n, std::byte{0xEE}));
 }
@@ -79,6 +91,24 @@ TEST(Simulator, EventOrderingIsByTimeThenFifo) {
   sim.schedule(200, [&] { order.push_back(3); });  // same time: FIFO by seq
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, DeliveryAndTimerAtOneInstantFireInScheduleOrder) {
+  Simulator sim(1);
+  std::vector<int> order;
+  SinkNode src;
+  LogNode dst(&order);
+  const auto a = sim.add_node(src);
+  const auto b = sim.add_node(dst);
+  sim.add_link(a, b, /*latency_ns=*/500);
+
+  sim.schedule(500, [&] { order.push_back(1); });
+  sim.send(a, b, make_packet(2));  // delivered at 500
+  sim.schedule(500, [&] { order.push_back(3); });
+  sim.send(a, b, make_packet(4));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now_ns(), 500u);
 }
 
 TEST(Simulator, RunUntilStopsEarly) {
