@@ -40,6 +40,11 @@ class Packet {
   void append(std::span<const std::byte> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }
+  // Insert `data` before byte `at` (an INT transit push, in place).
+  void insert(std::size_t at, std::span<const std::byte> data) {
+    bytes_.insert(bytes_.begin() + static_cast<std::ptrdiff_t>(at),
+                  data.begin(), data.end());
+  }
   // Truncate to the first `n` bytes (mirror truncation on Tofino, §6).
   void truncate(std::size_t n) {
     if (n < bytes_.size()) bytes_.resize(n);

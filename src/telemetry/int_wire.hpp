@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "telemetry/int_path.hpp"
 
 namespace dart::telemetry {
@@ -67,8 +68,23 @@ struct IntWirePacket {
 // Transit: pushes one hop's metadata onto the stack of an INT UDP payload
 // in place (the payload grows). Returns false — and sets the M bit — when
 // remaining-hop-count is exhausted (metadata not pushed), matching the spec.
+// A payload int_parse rejects is left untouched.
 bool int_transit_push(std::vector<std::byte>& udp_payload,
                       const IntHopMetadata& hop);
+
+// Transit on a whole Ethernet/IPv4/UDP frame as net::build_udp_frame writes
+// it (net::parse_udp_frame must accept it), in place: pushes the hop into
+// the UDP payload as int_transit_push does, then writes the IPv4 total
+// length, TTL - 1 (not below 0), the header checksum and the UDP length —
+// the bytes rebuilding the frame around the new payload would give.
+// Returns the frame's new UDP payload.
+std::span<const std::byte> int_transit_push_frame(net::Packet& frame,
+                                                  const IntHopMetadata& hop);
+
+// The original destination port carried by an INT UDP payload that
+// int_parse accepts (nullopt otherwise). Decodes no hops, allocates nothing.
+[[nodiscard]] std::optional<std::uint16_t> int_original_dst_port(
+    std::span<const std::byte> udp_payload) noexcept;
 
 // Sink/parser: decodes shim + MD + stack; hops are returned oldest-first
 // (path order). Returns nullopt on malformed input.

@@ -11,11 +11,10 @@ namespace dart::telemetry {
 
 namespace {
 
-// The ECMP flow hash every switch derives from the packet's inner 5-tuple.
-// For INT packets the *original* destination port (preserved in the shim)
-// is used, so the hash — and therefore the path — is stable across the
-// encapsulation, and matches FatTree::path for the original flow.
-std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
+// The packet's original 5-tuple: for INT packets the destination port the
+// shim preserved, so the ECMP hash — and therefore the path — and the
+// postcard keys are stable across the encapsulation.
+FiveTuple original_tuple(const net::ParsedUdpFrame& frame) {
   FiveTuple tuple;
   tuple.src_ip = frame.ip.src;
   tuple.dst_ip = frame.ip.dst;
@@ -23,11 +22,17 @@ std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
   tuple.dst_port = frame.udp.dst_port;
   tuple.protocol = frame.ip.protocol;
   if (frame.udp.dst_port == kIntUdpPort) {
-    if (const auto pkt = int_parse(frame.payload)) {
-      tuple.dst_port = pkt->original_dst_port;
+    if (const auto port = int_original_dst_port(frame.payload)) {
+      tuple.dst_port = *port;
     }
   }
-  const auto key = tuple.key_bytes();
+  return tuple;
+}
+
+// The ECMP flow hash every switch derives from the packet's original
+// 5-tuple; it matches FatTree::path for the original flow.
+std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
+  const auto key = original_tuple(frame).key_bytes();
   return xxhash64(key, 0xECB9);
 }
 
@@ -78,10 +83,9 @@ class HostNode final : public net::Node {
     spec.src_port = flow.src_port;
     spec.dst_port = flow.dst_port;
     spec.protocol = flow.protocol;
-    const auto frame = net::build_udp_frame(spec, payload);
     const auto edge = topo_->host_edge(host_id_);
     sim_->send(self_, directory_->switch_nodes[edge],
-               net::Packet(std::vector<std::byte>(frame.begin(), frame.end())));
+               net::Packet(net::build_udp_frame(spec, payload)));
     ++sent_;
   }
 
@@ -227,19 +231,9 @@ void ForwardingSwitch::deliver_reports(std::span<const std::byte> key,
 
 void ForwardingSwitch::maybe_emit_postcard(const net::ParsedUdpFrame& parsed,
                                            const IntHopMetadata& hop) {
-  // Key the postcard by the flow's ORIGINAL 5-tuple (restore the port the
-  // INT shim preserved), so queries use the same key at every hop.
-  FiveTuple tuple;
-  tuple.src_ip = parsed.ip.src;
-  tuple.dst_ip = parsed.ip.dst;
-  tuple.src_port = parsed.udp.src_port;
-  tuple.dst_port = parsed.udp.dst_port;
-  tuple.protocol = parsed.ip.protocol;
-  if (parsed.udp.dst_port == kIntUdpPort) {
-    if (const auto pkt = int_parse(parsed.payload)) {
-      tuple.dst_port = pkt->original_dst_port;
-    }
-  }
+  // Key the postcard by the flow's ORIGINAL 5-tuple, so queries use the
+  // same key at every hop.
+  const FiveTuple tuple = original_tuple(parsed);
 
   ++stats_.postcard_observations;
   const auto key = postcard_key(hop.switch_id, tuple);
@@ -285,14 +279,11 @@ void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
     parsed = net::parse_udp_frame(packet.bytes());
     assert(parsed.has_value());
   } else if (is_int && !i_am_dst_edge) {
-    // --- INT transit: push my metadata ------------------------------------
-    std::vector<std::byte> payload(parsed->payload.begin(),
-                                   parsed->payload.end());
-    (void)int_transit_push(payload, my_hop_metadata(now_ns, egress));
-    auto frame = rebuild_frame(*parsed, payload, kIntUdpPort);
-    packet.assign(std::move(frame));
-    parsed = net::parse_udp_frame(packet.bytes());
-    assert(parsed.has_value());
+    // --- INT transit: push my metadata into the frame in place -------------
+    // Only the payload view is refreshed: what follows (postcards,
+    // forwarding) reads addresses, ports and payload, never lengths or TTL.
+    parsed->payload =
+        int_transit_push_frame(packet, my_hop_metadata(now_ns, egress));
   }
 
   // --- Postcards (Table 1 row 2): every switch may report its own hop ----
@@ -323,12 +314,7 @@ void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
         }
 
         // DART report: key = original 5-tuple, value = path switch ids.
-        FiveTuple tuple;
-        tuple.src_ip = parsed->ip.src;
-        tuple.dst_ip = parsed->ip.dst;
-        tuple.src_port = parsed->udp.src_port;
-        tuple.dst_port = pkt->original_dst_port;
-        tuple.protocol = parsed->ip.protocol;
+        const FiveTuple tuple = original_tuple(*parsed);
         IntStack stack(IntInstruction::kSwitchId, config_.int_max_hops);
         for (const auto& hop : pkt->hops) (void)stack.push_hop(hop);
         if (const auto value = stack.encode_value(config_.dart.value_bytes)) {
