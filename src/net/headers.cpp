@@ -1,5 +1,6 @@
 #include "net/headers.hpp"
 
+#include <array>
 #include <cstdio>
 
 #include "net/checksum.hpp"
@@ -44,23 +45,24 @@ std::optional<EthernetHeader> EthernetHeader::parse(BufReader& r) {
 // ---------------------------------------------------------------------------
 
 void Ipv4Header::serialize(BufWriter& w) const {
-  std::vector<std::byte> hdr;
-  hdr.reserve(kIpv4HeaderLen);
-  BufWriter hw(hdr);
-  hw.u8(0x45);  // version 4, IHL 5
-  hw.u8(dscp << 2);
-  hw.be16(total_length);
-  hw.be16(identification);
-  hw.be16(0);  // flags + fragment offset: DF not modeled
-  hw.u8(ttl);
-  hw.u8(protocol);
-  hw.be16(0);  // checksum placeholder
-  hw.be32(src.value);
-  hw.be32(dst.value);
-
-  const std::uint16_t csum = internet_checksum(hdr);
-  hdr[10] = static_cast<std::byte>(csum >> 8);
-  hdr[11] = static_cast<std::byte>(csum & 0xFF);
+  // Built on the stack, then checksummed and appended in one go.
+  std::array<std::byte, kIpv4HeaderLen> hdr{};
+  const auto put16 = [&hdr](std::size_t at, std::uint16_t v) {
+    hdr[at] = static_cast<std::byte>(v >> 8);
+    hdr[at + 1] = static_cast<std::byte>(v & 0xFF);
+  };
+  hdr[0] = std::byte{0x45};  // version 4, IHL 5
+  hdr[1] = static_cast<std::byte>(dscp << 2);
+  put16(2, total_length);
+  put16(4, identification);
+  // Bytes 6-7, flags + fragment offset: DF not modeled. 10-11: checksum.
+  hdr[8] = static_cast<std::byte>(ttl);
+  hdr[9] = static_cast<std::byte>(protocol);
+  put16(12, static_cast<std::uint16_t>(src.value >> 16));
+  put16(14, static_cast<std::uint16_t>(src.value & 0xFFFF));
+  put16(16, static_cast<std::uint16_t>(dst.value >> 16));
+  put16(18, static_cast<std::uint16_t>(dst.value & 0xFFFF));
+  put16(10, internet_checksum(hdr));
   w.bytes(hdr);
 }
 

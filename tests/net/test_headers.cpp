@@ -67,6 +67,30 @@ TEST(Ipv4, RoundTripWithValidChecksum) {
   EXPECT_EQ(parsed->dst, h.dst);
 }
 
+TEST(Ipv4, SerializesKnownBytes) {
+  Ipv4Header h;
+  h.dscp = 12;
+  h.total_length = 48;
+  h.identification = 0x42;
+  h.ttl = 17;
+  h.protocol = kIpProtoUdp;
+  h.src = Ipv4Addr::from_octets(192, 168, 0, 1);
+  h.dst = Ipv4Addr::from_octets(10, 0, 0, 2);
+
+  std::vector<std::byte> buf{std::byte{0xAB}};  // appends after what is there
+  BufWriter w(buf);
+  h.serialize(w);
+  // version/IHL, DSCP, total length, id, flags/fragment 0, TTL, protocol,
+  // RFC 1071 header checksum, source, destination.
+  const std::vector<std::uint8_t> expected = {
+      0xAB, 0x45, 0x30, 0x00, 0x30, 0x00, 0x42, 0x00, 0x00, 0x11, 0x11,
+      0xDE, 0xA0, 0xC0, 0xA8, 0x00, 0x01, 0x0A, 0x00, 0x00, 0x02};
+  ASSERT_EQ(buf.size(), expected.size());
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    EXPECT_EQ(static_cast<std::uint8_t>(buf[i]), expected[i]) << "byte " << i;
+  }
+}
+
 TEST(Ipv4, CorruptedHeaderRejectedByChecksum) {
   Ipv4Header h;
   h.total_length = 28;
