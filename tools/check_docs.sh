@@ -19,19 +19,46 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 python3 - <<'EOF'
+import fnmatch
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+
+def markdown_files():
+    """The markdown files git lists (tracked or untracked, not ignored). In a
+    tree without git metadata, such as an exported archive, every *.md found
+    by walking the tree outside the directories .gitignore names."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-co", "--exclude-standard", "*.md"],
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        return [Path(p) for p in listed]
+    except (OSError, subprocess.CalledProcessError):
+        pass
+    ignored_dirs = [
+        line.strip().rstrip("/")
+        for line in Path(".gitignore").read_text().splitlines()
+        if line.strip().endswith("/") and not line.startswith("#")
+    ]
+    found = []
+    for root, dirs, files in os.walk("."):
+        dirs[:] = [
+            d for d in dirs
+            if d != ".git"
+            and not any(fnmatch.fnmatch(d, pat) for pat in ignored_dirs)
+        ]
+        found += [Path(root, f) for f in files if f.endswith(".md")]
+    return found
+
+
 md_files = sorted(
-    Path(p)
-    for p in subprocess.run(
-        ["git", "ls-files", "-co", "--exclude-standard", "*.md"],
-        capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
+    p for p in markdown_files()
     # Research-context notes, not product docs: may cite external artifacts.
-    if Path(p).name not in {"PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
+    if p.name not in {"PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
 )
 
 failures = 0
