@@ -113,8 +113,9 @@ void Simulator::send(NodeId from, NodeId to, Packet packet) {
     deliver_at = link->busy_until_ns + link->latency_ns;
 
     link->stats.max_queue = std::max(link->stats.max_queue, queued + 1);
-    // The packet leaves the egress queue when fully serialized; its
-    // departure takes the seq an event scheduled here would have taken.
+    // The packet leaves the egress queue when fully serialized. Its
+    // departure draws a seq like any event scheduled here, which fixes its
+    // place among events at the same instant.
     link->departures.push_back(Departure{link->busy_until_ns, seq_++});
     if (!link->pending) {
       link->pending = true;
@@ -168,8 +169,9 @@ void Simulator::retire_departed(Link& link) noexcept {
 }
 
 void Simulator::retire_through(std::uint64_t until_ns) noexcept {
-  // Every departure at or before `until_ns` would have run as an event
-  // before run(until_ns) stopped, and the clock would rest on the last one.
+  // Departures are ordered like events: every one at or before `until_ns`
+  // takes effect before run(until_ns) returns, and the clock rests on the
+  // last of them as it would on an event.
   for (std::size_t i = 0; i < pending_links_.size();) {
     Link& link = links_[pending_links_[i]];
     while (link.head < link.departures.size() &&

@@ -205,9 +205,9 @@ class Simulator {
   static constexpr LinkId kNoLink = 0xFFFF'FFFFu;
 
   // A shaped link's egress departure: the packet leaves the queue once fully
-  // serialized. Not a heap event; it is retired once an event with a later
-  // (at_ns, seq) key runs, or by the exit of run(until), exactly when it
-  // would have fired as an event.
+  // serialized. Not a heap entry, but ordered like an event by its
+  // (at_ns, seq) key: it takes effect once an event with a later key runs,
+  // or when run(until) returns past it.
   struct Departure {
     std::uint64_t at_ns;
     std::uint64_t seq;
@@ -281,8 +281,8 @@ class Simulator {
   [[nodiscard]] LinkId find_link(NodeId from, NodeId to) const noexcept;
   void push_event(std::uint64_t at_ns, EventKind kind, NodeId target,
                   std::uint32_t slot);
-  // True once `d` would have fired as an event: its key precedes the one of
-  // the event that ran last.
+  // True once `d` has taken effect: its key precedes the one of the event
+  // that ran last.
   [[nodiscard]] bool departed(const Departure& d) const noexcept {
     return d.at_ns < now_ns_ || (d.at_ns == now_ns_ && d.seq < last_seq_);
   }

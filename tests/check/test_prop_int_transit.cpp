@@ -95,15 +95,18 @@ std::vector<std::byte> gen_payload(Rng& rng) {
 // An INT-port frame as the INT source writes it: HostNode addressing,
 // rebuilt around the INT payload.
 std::vector<std::byte> gen_frame(Rng& rng, std::span<const std::byte> payload) {
+  const auto octet = [&rng](std::uint64_t lo, std::uint64_t n) {
+    return static_cast<std::uint8_t>(lo + rng.below(n));
+  };
   net::UdpFrameSpec spec;
-  const auto host = static_cast<std::uint8_t>(rng.below(256));
+  const auto host = octet(0, 256);
   spec.src_mac = {0x02, 0x0A, 0, 0, 0, host};
   spec.dst_mac = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-  spec.src_ip = net::Ipv4Addr::from_octets(10, static_cast<std::uint8_t>(rng.below(8)),
-                                           static_cast<std::uint8_t>(rng.below(4)), host);
-  spec.dst_ip = net::Ipv4Addr::from_octets(10, static_cast<std::uint8_t>(rng.below(8)),
-                                           static_cast<std::uint8_t>(rng.below(4)),
-                                           static_cast<std::uint8_t>(2 + rng.below(8)));
+  // A braced list draws left to right; function arguments would not.
+  const std::uint8_t o[] = {octet(0, 8), octet(0, 4), octet(0, 8),
+                            octet(0, 4), octet(2, 8)};
+  spec.src_ip = net::Ipv4Addr::from_octets(10, o[0], o[1], host);
+  spec.dst_ip = net::Ipv4Addr::from_octets(10, o[2], o[3], o[4]);
   spec.src_port = static_cast<std::uint16_t>(rng.below(1u << 16));
   spec.dst_port = telemetry::kIntUdpPort;
   spec.ttl = rng.chance(0.5) ? kTtls[rng.below(std::size(kTtls))]

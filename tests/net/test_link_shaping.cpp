@@ -115,10 +115,9 @@ TEST(LinkShaping, UnshapedLinkHasNoQueue) {
   EXPECT_EQ(b.times.front(), b.times.back());
 }
 
-// A departure is not an event of its own, but it retires exactly where its
-// event would have run: after every event scheduled before it at the same
-// instant, before every event scheduled after it, and at the exit of a
-// run(until) that passes it.
+// A departure is not a heap event, but it takes effect in event order:
+// after every event scheduled before it at the same instant, before every
+// event scheduled after it, and when a run(until) that passes it returns.
 
 TEST(LinkShaping, PartialRunRetiresDepartureAndRestsClockOnIt) {
   Simulator sim(1);
@@ -150,7 +149,8 @@ TEST(LinkShaping, CallbackAtDepartureInstantSeesItOnlyIfScheduledAfter) {
   SinkNode a, b;
   const auto na = sim.add_node(a);
   const auto nb = sim.add_node(b);
-  sim.add_link(na, nb, 1000, nullptr, LinkShape{.bandwidth_bps = 1'000'000'000});
+  sim.add_link(na, nb, 1000, nullptr,
+               LinkShape{.bandwidth_bps = 1'000'000'000});
 
   std::vector<std::uint32_t> depths;
   const auto sample = [&] { depths.push_back(sim.link_queue_depth(na, nb)); };
