@@ -58,7 +58,7 @@ def markdown_files():
 md_files = sorted(
     p for p in markdown_files()
     # Research-context notes, not product docs: may cite external artifacts.
-    if p.name not in {"PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
+    if p.name not in {"PAPERS.md", "SNIPPETS.md"}
 )
 
 failures = 0
