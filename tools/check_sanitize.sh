@@ -40,7 +40,7 @@ run_asan() {
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --test-dir "$dir" --output-on-failure \
-      -R 'CrcParity|XxBatchParity|HashFamilyBatch|PropBurst|PropWire'
+      -R 'CrcParity|XxBatchParity|HashFamilyBatch|PropBurst|PropWire|PropCraft'
   echo "asan: clean"
 }
 
