@@ -1,6 +1,5 @@
-// Coverage for the logging and cycle-accounting utilities.
+// Coverage for the cycle-accounting utilities.
 #include "common/cycles.hpp"
-#include "common/logging.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,27 +8,6 @@
 
 namespace dart {
 namespace {
-
-TEST(Logging, LevelRoundTrip) {
-  const auto prior = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(prior);
-}
-
-TEST(Logging, MacroFiltersBelowThreshold) {
-  // No crash and no observable side effect beyond stderr; exercise both the
-  // filtered and unfiltered paths.
-  const auto prior = log_level();
-  set_log_level(LogLevel::kOff);
-  DART_LOG_ERROR("test", "must be filtered %d", 1);
-  set_log_level(LogLevel::kError);
-  DART_LOG_DEBUG("test", "also filtered");
-  set_log_level(prior);
-  SUCCEED();
-}
 
 TEST(Cycles, TscIsMonotonicNondecreasing) {
   std::uint64_t prev = rdtsc();

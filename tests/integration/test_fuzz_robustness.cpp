@@ -16,7 +16,6 @@
 #include <fstream>
 
 #include "check/property.hpp"
-#include "common/kvconfig.hpp"
 #include "common/random.hpp"
 #include "core/collector.hpp"
 #include "core/epoch.hpp"
@@ -185,25 +184,6 @@ TEST(Fuzz, IntTransitOnMutatedPacketsNeverCorruptsMemory) {
     }
   }
   SUCCEED();
-}
-
-TEST(Fuzz, KvConfigSurvivesRandomText) {
-  Xoshiro256 rng(check::seed_from_env(0xF077, "Fuzz.KvConfigSurvivesRandomText"));
-  for (int i = 0; i < 5'000; ++i) {
-    std::string text;
-    const auto len = rng.below(200);
-    for (std::uint64_t c = 0; c < len; ++c) {
-      // Printable-ish ASCII plus newlines/controls.
-      text.push_back(static_cast<char>(rng.below(96) + 10));
-    }
-    const auto cfg = KvConfig::parse(text);
-    if (cfg.ok()) {
-      // Whatever parsed must re-serialize and re-parse stably.
-      const auto again = KvConfig::parse(cfg.value().str());
-      ASSERT_TRUE(again.ok());
-      ASSERT_EQ(again.value().size(), cfg.value().size());
-    }
-  }
 }
 
 TEST(Fuzz, ArchiveReaderSurvivesRandomFiles) {
