@@ -63,6 +63,25 @@ const std::vector<std::array<std::byte, 8>>& key_pool() {
   return pool;
 }
 
+// A pool of 4096 distinct WRITE reports to `collector`, pre-crafted so the
+// ingest benches time the RNIC alone.
+std::vector<std::vector<std::byte>> write_frame_pool(
+    const Collector& collector) {
+  const ReportCrafter crafter(config());
+  ReporterEndpoint src;
+  src.ip = net::Ipv4Addr::from_octets(10, 255, 0, 1);
+  const auto tpl = crafter.make_write_template(collector.remote_info(), src);
+  std::vector<std::vector<std::byte>> frames(
+      4096, std::vector<std::byte>(tpl.frame_size()));
+  std::array<std::byte, 20> value{};
+  for (std::uint64_t i = 0; i < frames.size(); ++i) {
+    crafter.craft_write_into(tpl, sim_key(i), value,
+                             static_cast<std::uint32_t>(i % 2),
+                             static_cast<std::uint32_t>(i), frames[i]);
+  }
+  return frames;
+}
+
 // Raw CRC-32 kernel cost at datapath-relevant sizes: 44 B is the craft
 // path's resumed iCRC region, 88 B the fused classifier buffer, 94 B a full
 // report frame, 1500 B an MTU frame (streaming throughput).
@@ -160,18 +179,7 @@ void BM_RnicIngest(benchmark::State& state) {
   Collector collector(config(), 0, endpoint());
   collector.rnic().set_validate_icrc(validate_icrc);
 
-  // Pre-craft a pool of distinct report frames.
-  const ReportCrafter crafter(config());
-  ReporterEndpoint src;
-  src.ip = net::Ipv4Addr::from_octets(10, 255, 0, 1);
-  std::vector<std::vector<std::byte>> frames;
-  std::array<std::byte, 20> value{};
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    frames.push_back(crafter.craft_write(collector.remote_info(), src,
-                                         sim_key(i), value,
-                                         static_cast<std::uint32_t>(i % 2),
-                                         static_cast<std::uint32_t>(i)));
-  }
+  const auto frames = write_frame_pool(collector);
   std::uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -238,17 +246,7 @@ void BM_RnicIngestBurst(benchmark::State& state) {
   constexpr std::size_t kBurst = 32;
   Collector collector(config(), 0, endpoint());
   collector.rnic().set_validate_icrc(true);
-  const ReportCrafter crafter(config());
-  ReporterEndpoint src;
-  src.ip = net::Ipv4Addr::from_octets(10, 255, 0, 1);
-  std::vector<std::vector<std::byte>> frames;
-  std::array<std::byte, 20> value{};
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    frames.push_back(crafter.craft_write(collector.remote_info(), src,
-                                         sim_key(i), value,
-                                         static_cast<std::uint32_t>(i % 2),
-                                         static_cast<std::uint32_t>(i)));
-  }
+  const auto frames = write_frame_pool(collector);
   std::vector<std::span<const std::byte>> views(kBurst);
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -383,13 +381,14 @@ void BM_RnicMultiwriteIngest(benchmark::State& state) {
   Collector collector(config(), 0, endpoint());
   collector.rnic().set_dta_multiwrite(true);
   const ReportCrafter crafter(config());
-  ReporterEndpoint src;
-  std::vector<std::vector<std::byte>> frames;
+  const auto tpl =
+      crafter.make_multiwrite_template(collector.remote_info(), {});
+  std::vector<std::vector<std::byte>> frames(
+      4096, std::vector<std::byte>(tpl.frame_size()));
   std::array<std::byte, 20> value{};
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    frames.push_back(crafter.craft_multiwrite(
-        collector.remote_info(), src, sim_key(i), value,
-        static_cast<std::uint32_t>(i)));
+  for (std::uint64_t i = 0; i < frames.size(); ++i) {
+    crafter.craft_multiwrite_into(tpl, sim_key(i), value,
+                                  static_cast<std::uint32_t>(i), frames[i]);
   }
   std::uint64_t i = 0;
   for (auto _ : state) {

@@ -164,6 +164,10 @@ double run_ingest(std::uint32_t n_collectors,
   // (one pass over the key stream, appended to each key's owner).
   constexpr std::size_t kPoolSize = 1024;
   std::vector<std::vector<std::vector<std::byte>>> pools(n_collectors);
+  std::vector<FrameTemplate> tpls;
+  for (const auto& row : cluster.directory()) {
+    tpls.push_back(crafter.make_write_template(row, src));
+  }
   std::array<std::byte, 20> value{};
   std::uint32_t full = 0;
   for (std::uint64_t key_id = 0; full < n_collectors; ++key_id) {
@@ -171,9 +175,9 @@ double run_ingest(std::uint32_t n_collectors,
     const std::uint32_t c = selector.owner_of(key);
     auto& pool = pools[c];
     if (pool.size() >= kPoolSize) continue;
-    pool.push_back(crafter.craft_write(cluster.directory()[c], src, key, value,
-                                       0,
-                                       static_cast<std::uint32_t>(pool.size())));
+    const auto psn = static_cast<std::uint32_t>(pool.size());
+    crafter.craft_write_into(tpls[c], key, value, 0, psn,
+                             pool.emplace_back(tpls[c].frame_size()));
     if (pool.size() == kPoolSize) ++full;
   }
 

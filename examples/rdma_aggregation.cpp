@@ -70,6 +70,9 @@ int main() {
   for (int sw = 0; sw < 2; ++sw) {
     ReporterEndpoint src;
     src.ip = net::Ipv4Addr::from_octets(10, 255, 0, static_cast<std::uint8_t>(sw));
+    const auto tpl =
+        crafter.make_atomic_template(dst, src, rdma::Opcode::kRcFetchAdd);
+    std::vector<std::byte> frame(tpl.frame_size());
     Xoshiro256 rng(100 + sw);
     for (int pkt = 0; pkt < 20'000; ++pkt) {
       const auto idx = rng.below(300);
@@ -79,13 +82,13 @@ int main() {
 
       // (a) per-flow counter cell.
       const std::uint64_t cell = counter_index.index_of(key);
-      auto frame = crafter.craft_fetch_add(dst, src, kBase + cell * 8, 1, psn++);
+      crafter.craft_fetch_add_into(tpl, kBase + cell * 8, 1, psn++, frame);
       (void)rnic.process_frame(frame);
 
       // (b) the sketch's d cells.
       for (const auto sketch_cell : sketch_index.cell_indices(key)) {
         const std::uint64_t word = kCounterCells + sketch_cell;
-        frame = crafter.craft_fetch_add(dst, src, kBase + word * 8, 1, psn++);
+        crafter.craft_fetch_add_into(tpl, kBase + word * 8, 1, psn++, frame);
         (void)rnic.process_frame(frame);
       }
     }

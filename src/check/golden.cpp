@@ -4,13 +4,13 @@
 #include <cstring>
 #include <fstream>
 
+#include "check/reference_crafter.hpp"
 #include "core/collector.hpp"
 #include "core/collector_ring.hpp"
 #include "core/config.hpp"
 #include "core/oracle.hpp"
 #include "core/primitives.hpp"
 #include "core/query_protocol.hpp"
-#include "core/report_crafter.hpp"
 #include "rdma/multiwrite.hpp"
 #include "rdma/roce.hpp"
 
@@ -127,7 +127,7 @@ std::vector<Trace> canonical_golden_traces() {
   const auto& cfg = dep.config;
   core::Collector collector(cfg, 0, dep.collector_endpoint);
   const auto dst = collector.remote_info();
-  const core::ReportCrafter crafter(cfg);
+  const ReferenceCrafter crafter(cfg);
 
   std::vector<Trace> traces;
 
@@ -410,7 +410,7 @@ std::vector<Trace> canonical_corpus() {
   const auto& cfg = dep.config;
   core::Collector collector(cfg, 0, dep.collector_endpoint);
   const auto dst = collector.remote_info();
-  const core::ReportCrafter crafter(cfg);
+  const ReferenceCrafter crafter(cfg);
 
   const auto key = core::sim_key(42);
   const auto value = golden_value(42, cfg.value_bytes);

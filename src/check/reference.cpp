@@ -175,6 +175,7 @@ core::ReporterEndpoint driver_reporter() {
 WireDriver::WireDriver(const core::DartConfig& config)
     : collector_(config, /*collector_id=*/0, driver_endpoint()),
       crafter_(config),
+      reference_(config),
       src_(driver_reporter()),
       dst_(collector_.remote_info()) {
   collector_.rnic().set_dta_multiwrite(true);
@@ -203,8 +204,8 @@ void WireDriver::enable_primitives(const core::DtaPrimitivesConfig& config) {
 std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
   const std::uint32_t psn = psn_++;
   const auto key = core::sim_key(op.key);
-  // Even PSNs exercise the zero-allocation template path, odd PSNs the
-  // allocating reference crafters — the two must be byte-identical, so the
+  // Even PSNs exercise the production template path, odd PSNs the
+  // field-by-field ReferenceCrafter — the two must be byte-identical, so the
   // differential store check covers both for free.
   const bool use_template = (psn & 1) == 0;
 
@@ -223,7 +224,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                            frame);
         });
       } else {
-        frame = crafter_.craft_write(dst_, src_, key, op.value, op.copy, psn);
+        frame = reference_.craft_write(dst_, src_, key, op.value, op.copy, psn);
       }
       break;
     case ReportOp::Kind::kMultiwrite:
@@ -233,7 +234,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                                 frame);
         });
       } else {
-        frame = crafter_.craft_multiwrite(dst_, src_, key, op.value, psn);
+        frame = reference_.craft_multiwrite(dst_, src_, key, op.value, psn);
       }
       break;
     case ReportOp::Kind::kFetchAdd: {
@@ -244,7 +245,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                                frame);
         });
       } else {
-        frame = crafter_.craft_fetch_add(dst_, src_, vaddr, op.operand, psn);
+        frame = reference_.craft_fetch_add(dst_, src_, vaddr, op.operand, psn);
       }
       break;
     }
@@ -256,7 +257,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                                   op.operand, psn, frame);
         });
       } else {
-        frame = crafter_.craft_compare_swap(dst_, src_, vaddr, op.compare,
+        frame = reference_.craft_compare_swap(dst_, src_, vaddr, op.compare,
                                             op.operand, psn);
       }
       break;
@@ -269,7 +270,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                             op.value, psn, frame);
         });
       } else {
-        frame = crafter_.craft_append(ring_dst_, src_, primitives_.ring, seq,
+        frame = reference_.craft_append(ring_dst_, src_, primitives_.ring, seq,
                                       op.value, psn);
       }
       break;
@@ -281,7 +282,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
               tpl, primitives_.counters, key, op.operand, psn, frame);
         });
       } else {
-        frame = crafter_.craft_key_increment(counter_dst_, src_,
+        frame = reference_.craft_key_increment(counter_dst_, src_,
                                              primitives_.counters, key,
                                              op.operand, psn);
       }
@@ -293,7 +294,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                               op.hop, op.value, psn, frame);
         });
       } else {
-        frame = crafter_.craft_postcard(postcard_dst_, src_,
+        frame = reference_.craft_postcard(postcard_dst_, src_,
                                         primitives_.postcards, key, op.hop,
                                         op.value, psn);
       }

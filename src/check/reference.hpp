@@ -25,6 +25,7 @@
 #include "core/config.hpp"
 #include "core/primitives.hpp"
 #include "core/query.hpp"
+#include "check/reference_crafter.hpp"
 #include "core/report_crafter.hpp"
 #include "core/store.hpp"
 
@@ -124,9 +125,9 @@ class ReferenceFabric {
 };
 
 // The real thing, driven op-by-op: a live Collector (RNIC + registered
-// store memory) fed frames produced by ReportCrafter. Ops alternate between
-// the allocating craft_* path and the FrameTemplate fast path (by PSN
-// parity) so the differential properties cover both serializers. Dropped
+// store memory) fed crafted frames. Ops alternate between ReportCrafter's
+// template path and the field-by-field ReferenceCrafter (by PSN parity) so
+// the differential properties cover both crafters. Dropped
 // ops consume a PSN without delivering the frame — exactly the sequence gap
 // a lost report leaves, which kTolerateLoss windows must absorb.
 class WireDriver {
@@ -167,6 +168,7 @@ class WireDriver {
  private:
   core::Collector collector_;
   core::ReportCrafter crafter_;
+  ReferenceCrafter reference_;
   core::ReporterEndpoint src_;
   core::RemoteStoreInfo dst_;
   core::FrameTemplate write_tpl_;

@@ -14,7 +14,8 @@ namespace {
 
 // Absolute byte offsets of the variant fields inside a crafted frame. The
 // layouts are fixed by the wire formats (net/headers, rdma/roce,
-// rdma/multiwrite); frame-equality tests pin them against the serializers.
+// rdma/multiwrite); the crafting property pins them against the reference
+// serializers in src/check/reference_crafter.hpp.
 constexpr std::size_t kRoceOff =
     net::kEthernetHeaderLen + net::kIpv4HeaderLen + net::kUdpHeaderLen;
 constexpr std::size_t kPsnOff = kRoceOff + 9;  // BTH bytes 9..11, 24-bit BE
@@ -42,267 +43,130 @@ void put_be64(std::byte* p, std::uint64_t v) noexcept {
   std::memcpy(p, &be, sizeof(be));
 }
 
-}  // namespace
-
-std::vector<std::byte> ReportCrafter::craft_write(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    std::span<const std::byte> key, std::span<const std::byte> value,
-    std::uint32_t n, std::uint32_t psn) const {
-  assert(value.size() == config_.value_bytes);
-
-  // Slot payload: checksum ‖ value — must match DartStore::write_raw.
-  std::vector<std::byte> payload;
-  payload.reserve(config_.slot_bytes());
-  const std::uint32_t csum = hashes_.checksum_of(key, config_.checksum_bits);
-  for (std::uint32_t i = 0; i < config_.checksum_bytes(); ++i) {
-    payload.push_back(static_cast<std::byte>((csum >> (8 * i)) & 0xFF));
-  }
-  payload.insert(payload.end(), value.begin(), value.end());
-
-  rdma::Bth bth;
-  bth.opcode = rdma::Opcode::kRcRdmaWriteOnly;
-  bth.dest_qp = dst.qpn;
-  bth.psn = psn;
-
-  rdma::Reth reth;
-  reth.vaddr = slot_vaddr(dst, key, n);
-  reth.rkey = dst.rkey;
-  reth.dma_length = static_cast<std::uint32_t>(payload.size());
-
-  std::vector<std::byte> roce;
-  BufWriter w(roce);
-  rdma::serialize_write(w, bth, reth, payload);
-  return wrap_frame(dst, src, roce);
-}
-
-std::vector<std::byte> ReportCrafter::craft_fetch_add(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    std::uint64_t vaddr, std::uint64_t addend, std::uint32_t psn) const {
-  rdma::Bth bth;
-  bth.opcode = rdma::Opcode::kRcFetchAdd;
-  bth.dest_qp = dst.qpn;
-  bth.psn = psn;
-
-  rdma::AtomicEth aeth;
-  aeth.vaddr = vaddr;
-  aeth.rkey = dst.rkey;
-  aeth.swap_add = addend;
-
-  std::vector<std::byte> roce;
-  BufWriter w(roce);
-  rdma::serialize_atomic(w, bth, aeth);
-  return wrap_frame(dst, src, roce);
-}
-
-std::vector<std::byte> ReportCrafter::craft_compare_swap(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    std::uint64_t vaddr, std::uint64_t compare, std::uint64_t swap,
-    std::uint32_t psn) const {
-  rdma::Bth bth;
-  bth.opcode = rdma::Opcode::kRcCompareSwap;
-  bth.dest_qp = dst.qpn;
-  bth.psn = psn;
-
-  rdma::AtomicEth aeth;
-  aeth.vaddr = vaddr;
-  aeth.rkey = dst.rkey;
-  aeth.swap_add = swap;
-  aeth.compare = compare;
-
-  std::vector<std::byte> roce;
-  BufWriter w(roce);
-  rdma::serialize_atomic(w, bth, aeth);
-  return wrap_frame(dst, src, roce);
-}
-
-std::vector<std::byte> ReportCrafter::craft_multiwrite(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    std::span<const std::byte> key, std::span<const std::byte> value,
-    std::uint32_t psn) const {
-  assert(value.size() == config_.value_bytes);
-
-  std::vector<std::byte> payload;
-  payload.reserve(config_.slot_bytes());
-  const std::uint32_t csum = hashes_.checksum_of(key, config_.checksum_bits);
-  for (std::uint32_t i = 0; i < config_.checksum_bytes(); ++i) {
-    payload.push_back(static_cast<std::byte>((csum >> (8 * i)) & 0xFF));
-  }
-  payload.insert(payload.end(), value.begin(), value.end());
-
-  // All N coded addresses in one batched hash pass.
-  std::vector<std::uint64_t> vaddrs(config_.n_addresses);
-  hashes_.addresses_of(key, dst.n_slots, vaddrs);
-  for (auto& a : vaddrs) a = dst.slot_vaddr(a);
-  const auto dta = rdma::encode_multiwrite(dst.rkey, psn, vaddrs, payload);
-
+std::vector<std::byte> udp_frame(const RemoteStoreInfo& dst,
+                                 const ReporterEndpoint& src,
+                                 std::uint16_t dst_port,
+                                 std::span<const std::byte> payload) {
   net::UdpFrameSpec spec;
   spec.src_mac = src.mac;
   spec.dst_mac = dst.mac;
   spec.src_ip = src.ip;
   spec.dst_ip = dst.ip;
   spec.src_port = src.udp_src_port;
-  spec.dst_port = rdma::kDtaUdpPort;
-  return net::build_udp_frame(spec, dta);
+  spec.dst_port = dst_port;
+  return net::build_udp_frame(spec, payload);
 }
 
-std::vector<std::byte> ReportCrafter::craft_raw_write(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    std::uint64_t vaddr, std::span<const std::byte> payload,
-    std::uint32_t psn) const {
+// Frame prototypes, one per wire shape: what the wire serializers emit for
+// a (src, dst) pair with the PSN, addresses, operands and payload all zero.
+// craft_*_into overwrites exactly those fields and the trailing CRC.
+
+// RETH WRITE of `payload_bytes`: slot WRITE, Append and Postcard frames.
+std::vector<std::byte> reth_write_prototype(const RemoteStoreInfo& dst,
+                                            const ReporterEndpoint& src,
+                                            std::uint32_t payload_bytes) {
   rdma::Bth bth;
   bth.opcode = rdma::Opcode::kRcRdmaWriteOnly;
   bth.dest_qp = dst.qpn;
-  bth.psn = psn;
-
   rdma::Reth reth;
-  reth.vaddr = vaddr;
   reth.rkey = dst.rkey;
-  reth.dma_length = static_cast<std::uint32_t>(payload.size());
-
+  reth.dma_length = payload_bytes;
+  const std::vector<std::byte> payload(payload_bytes);
   std::vector<std::byte> roce;
   BufWriter w(roce);
   rdma::serialize_write(w, bth, reth, payload);
-  return wrap_frame(dst, src, roce);
+  return udp_frame(dst, src, net::kRoceV2UdpPort, roce);
 }
 
-std::vector<std::byte> ReportCrafter::craft_append(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    const AppendRingConfig& ring, std::uint64_t seq,
-    std::span<const std::byte> value, std::uint32_t psn) const {
-  assert(seq != 0);
-  assert(value.size() == ring.value_bytes);
-  assert(dst.slot_bytes == ring.entry_bytes());
-  std::vector<std::byte> payload;
-  payload.reserve(ring.entry_bytes());
-  AppendRing::encode_entry(seq, value, payload);
-  return craft_raw_write(dst, src, dst.slot_vaddr(ring.slot_of(seq)), payload,
-                         psn);
+// FETCH_ADD or COMPARE_SWAP.
+std::vector<std::byte> atomic_prototype(const RemoteStoreInfo& dst,
+                                        const ReporterEndpoint& src,
+                                        rdma::Opcode op) {
+  rdma::Bth bth;
+  bth.opcode = op;
+  bth.dest_qp = dst.qpn;
+  rdma::AtomicEth aeth;
+  aeth.rkey = dst.rkey;
+  std::vector<std::byte> roce;
+  BufWriter w(roce);
+  rdma::serialize_atomic(w, bth, aeth);
+  return udp_frame(dst, src, net::kRoceV2UdpPort, roce);
 }
 
-std::vector<std::byte> ReportCrafter::craft_key_increment(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    const CounterArrayConfig& counters, std::span<const std::byte> key,
-    std::uint64_t delta, std::uint32_t psn) const {
-  assert(dst.slot_bytes == 8);
-  return craft_fetch_add(dst, src, dst.slot_vaddr(counters.index_of(key)),
-                         delta, psn);
+// §7 DTA multiwrite of one `slot_bytes` payload to `n_addresses` slots.
+std::vector<std::byte> multiwrite_prototype(const RemoteStoreInfo& dst,
+                                            const ReporterEndpoint& src,
+                                            std::uint32_t n_addresses,
+                                            std::uint32_t slot_bytes) {
+  const std::vector<std::uint64_t> vaddrs(n_addresses);
+  const std::vector<std::byte> payload(slot_bytes);
+  return udp_frame(dst, src, rdma::kDtaUdpPort,
+                   rdma::encode_multiwrite(dst.rkey, 0, vaddrs, payload));
 }
 
-std::vector<std::byte> ReportCrafter::craft_sketch_increment(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    const SketchBackendConfig& sketch, std::span<const std::byte> key,
-    std::uint32_t row, std::uint64_t delta, std::uint32_t psn) const {
-  assert(dst.backend == StoreBackendKind::kSketch);
-  assert(dst.slot_bytes == 8);
-  assert(row < sketch.rows);
-  return craft_fetch_add(dst, src, dst.slot_vaddr(sketch.cell_of(key, row)),
-                         delta, psn);
-}
+}  // namespace
 
-std::vector<std::byte> ReportCrafter::craft_postcard(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    const PostcardConfig& postcards, std::span<const std::byte> flow_key,
-    std::uint32_t hop, std::span<const std::byte> value,
-    std::uint32_t psn) const {
-  assert(hop < postcards.max_hops);
-  assert(value.size() == postcards.value_bytes);
-  assert(dst.slot_bytes == postcards.slot_bytes());
-  std::vector<std::byte> payload;
-  payload.reserve(postcards.slot_bytes());
-  PostcardStore::encode_hop_payload(postcards, flow_key, value, payload);
-  const std::uint64_t index =
-      postcards.slot_index(postcards.group_of(flow_key), hop);
-  return craft_raw_write(dst, src, dst.slot_vaddr(index), payload, psn);
+FrameTemplate::FrameTemplate(Kind kind, const RemoteStoreInfo& dst,
+                             std::vector<std::byte> prototype)
+    : kind_(kind), prototype_(std::move(prototype)), dst_(dst) {
+  if (kind_ == Kind::kMultiwrite) {
+    // The DTA trailer CRC covers the whole DTA payload, unmasked; the
+    // cacheable prefix is magic/version/count/rkey — the 8 bytes before the
+    // PSN, which by construction ends at the same absolute offset as the
+    // RoCE variant region.
+    crc_prefix_.update(
+        std::span<const std::byte>(prototype_.data() + kRoceOff, 8));
+  } else {
+    crc_prefix_ = rdma::icrc_prefix_state(prototype_);
+  }
 }
 
 FrameTemplate ReportCrafter::make_write_template(
     const RemoteStoreInfo& dst, const ReporterEndpoint& src) const {
-  FrameTemplate t;
-  const std::array<std::byte, 1> dummy_key{};
-  const std::vector<std::byte> zero_value(config_.value_bytes);
-  t.prototype_ = craft_write(dst, src, dummy_key, zero_value, 0, 0);
-  t.crc_prefix_ = rdma::icrc_prefix_state(t.prototype_);
-  t.dst_ = dst;
-  t.kind_ = FrameTemplate::Kind::kWrite;
-  return t;
+  return {FrameTemplate::Kind::kWrite, dst,
+          reth_write_prototype(dst, src, config_.slot_bytes())};
 }
 
 FrameTemplate ReportCrafter::make_atomic_template(const RemoteStoreInfo& dst,
                                                   const ReporterEndpoint& src,
                                                   rdma::Opcode op) const {
-  FrameTemplate t;
   if (op == rdma::Opcode::kRcFetchAdd) {
-    t.prototype_ = craft_fetch_add(dst, src, 0, 0, 0);
-    t.kind_ = FrameTemplate::Kind::kFetchAdd;
-  } else if (op == rdma::Opcode::kRcCompareSwap) {
-    t.prototype_ = craft_compare_swap(dst, src, 0, 0, 0, 0);
-    t.kind_ = FrameTemplate::Kind::kCompareSwap;
-  } else {
-    return t;
+    return {FrameTemplate::Kind::kFetchAdd, dst,
+            atomic_prototype(dst, src, op)};
   }
-  t.crc_prefix_ = rdma::icrc_prefix_state(t.prototype_);
-  t.dst_ = dst;
-  return t;
+  if (op == rdma::Opcode::kRcCompareSwap) {
+    return {FrameTemplate::Kind::kCompareSwap, dst,
+            atomic_prototype(dst, src, op)};
+  }
+  return {};
 }
 
 FrameTemplate ReportCrafter::make_multiwrite_template(
     const RemoteStoreInfo& dst, const ReporterEndpoint& src) const {
-  FrameTemplate t;
-  const std::array<std::byte, 1> dummy_key{};
-  const std::vector<std::byte> zero_value(config_.value_bytes);
-  t.prototype_ = craft_multiwrite(dst, src, dummy_key, zero_value, 0);
-  // The DTA trailer CRC covers the whole DTA payload, unmasked; the cacheable
-  // prefix is magic/version/count/rkey — the 8 bytes before the PSN, which by
-  // construction ends at the same absolute offset as the RoCE variant region.
-  t.crc_prefix_.update(
-      std::span<const std::byte>(t.prototype_.data() + kRoceOff, 8));
-  t.dst_ = dst;
-  t.kind_ = FrameTemplate::Kind::kMultiwrite;
-  return t;
+  return {FrameTemplate::Kind::kMultiwrite, dst,
+          multiwrite_prototype(dst, src, config_.n_addresses,
+                               config_.slot_bytes())};
 }
 
 FrameTemplate ReportCrafter::make_append_template(
     const RemoteStoreInfo& dst, const ReporterEndpoint& src,
     const AppendRingConfig& ring) const {
-  FrameTemplate t;
-  const std::vector<std::byte> zero_value(ring.value_bytes);
-  t.prototype_ = craft_append(dst, src, ring, /*seq=*/1, zero_value, 0);
-  t.crc_prefix_ = rdma::icrc_prefix_state(t.prototype_);
-  t.dst_ = dst;
-  t.kind_ = FrameTemplate::Kind::kAppend;
-  return t;
+  assert(dst.slot_bytes == ring.entry_bytes());
+  return {FrameTemplate::Kind::kAppend, dst,
+          reth_write_prototype(dst, src, ring.entry_bytes())};
 }
 
 FrameTemplate ReportCrafter::make_postcard_template(
     const RemoteStoreInfo& dst, const ReporterEndpoint& src,
     const PostcardConfig& postcards) const {
-  FrameTemplate t;
-  const std::array<std::byte, 1> dummy_key{};
-  const std::vector<std::byte> zero_value(postcards.value_bytes);
-  t.prototype_ = craft_postcard(dst, src, postcards, dummy_key, 0, zero_value, 0);
-  t.crc_prefix_ = rdma::icrc_prefix_state(t.prototype_);
-  t.dst_ = dst;
-  t.kind_ = FrameTemplate::Kind::kPostcard;
-  return t;
+  assert(dst.slot_bytes == postcards.slot_bytes());
+  return {FrameTemplate::Kind::kPostcard, dst,
+          reth_write_prototype(dst, src, postcards.slot_bytes())};
 }
 
-std::size_t ReportCrafter::patch_write_frame(const FrameTemplate& tpl,
-                                             std::span<const std::byte> key,
-                                             std::span<const std::byte> value,
-                                             std::uint64_t vaddr,
-                                             std::uint32_t psn,
-                                             std::span<std::byte> out) const {
-  assert(value.size() == config_.value_bytes);
+std::size_t ReportCrafter::seal_icrc(const FrameTemplate& tpl,
+                                     std::span<std::byte> out) {
   const std::size_t len = tpl.prototype_.size();
-  std::memcpy(out.data(), tpl.prototype_.data(), len);
-  put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
-  put_be64(out.data() + kRethVaddrOff, vaddr);
-  std::byte* p = out.data() + kWritePayloadOff;
-  const std::uint32_t csum = hashes_.checksum_of(key, config_.checksum_bits);
-  for (std::uint32_t i = 0; i < config_.checksum_bytes(); ++i) {
-    *p++ = static_cast<std::byte>((csum >> (8 * i)) & 0xFF);
-  }
-  std::memcpy(p, value.data(), value.size());
   const std::size_t icrc_off = len - rdma::kIcrcLen;
   Crc32 crc = tpl.crc_prefix_;
   crc.update(std::span<const std::byte>(
@@ -313,17 +177,34 @@ std::size_t ReportCrafter::patch_write_frame(const FrameTemplate& tpl,
   return len;
 }
 
+std::size_t ReportCrafter::patch_reth_write(const FrameTemplate& tpl,
+                                            std::uint64_t vaddr,
+                                            std::uint32_t psn,
+                                            std::uint64_t tag,
+                                            std::uint32_t tag_bytes,
+                                            std::span<const std::byte> value,
+                                            std::span<std::byte> out) {
+  std::memcpy(out.data(), tpl.prototype_.data(), tpl.prototype_.size());
+  put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
+  put_be64(out.data() + kRethVaddrOff, vaddr);
+  std::byte* p = out.data() + kWritePayloadOff;
+  for (std::uint32_t i = 0; i < tag_bytes; ++i) {
+    *p++ = static_cast<std::byte>((tag >> (8 * i)) & 0xFF);
+  }
+  std::memcpy(p, value.data(), value.size());
+  return seal_icrc(tpl, out);
+}
+
 std::size_t ReportCrafter::craft_write_into(const FrameTemplate& tpl,
                                             std::span<const std::byte> key,
                                             std::span<const std::byte> value,
                                             std::uint32_t n, std::uint32_t psn,
                                             std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kWrite ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
-  return patch_write_frame(tpl, key, value, slot_vaddr(tpl.dst_, key, n), psn,
-                           out);
+  if (!tpl.fits(FrameTemplate::Kind::kWrite, out.size())) return 0;
+  assert(value.size() == config_.value_bytes);
+  return patch_reth_write(tpl, slot_vaddr(tpl.dst_, key, n), psn,
+                          hashes_.checksum_of(key, config_.checksum_bits),
+                          config_.checksum_bytes(), value, out);
 }
 
 std::size_t ReportCrafter::craft_write_into_at(const FrameTemplate& tpl,
@@ -332,12 +213,11 @@ std::size_t ReportCrafter::craft_write_into_at(const FrameTemplate& tpl,
                                                std::uint64_t slot_addr,
                                                std::uint32_t psn,
                                                std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kWrite ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
-  return patch_write_frame(tpl, key, value, tpl.dst_.slot_vaddr(slot_addr),
-                           psn, out);
+  if (!tpl.fits(FrameTemplate::Kind::kWrite, out.size())) return 0;
+  assert(value.size() == config_.value_bytes);
+  return patch_reth_write(tpl, tpl.dst_.slot_vaddr(slot_addr), psn,
+                          hashes_.checksum_of(key, config_.checksum_bits),
+                          config_.checksum_bytes(), value, out);
 }
 
 std::size_t ReportCrafter::craft_write_into_n(const FrameTemplate& tpl,
@@ -380,8 +260,11 @@ std::size_t ReportCrafter::craft_write_into_n(const FrameTemplate& tpl,
     }
     for (std::size_t i = 0; i < m; ++i) {
       const WriteOp& op = ops[done + i];
-      patch_write_frame(tpl, op.key, op.value, tpl.dst_.slot_vaddr(addrs[i]),
-                        op.psn, out.subspan((done + i) * len, len));
+      assert(op.value.size() == config_.value_bytes);
+      patch_reth_write(tpl, tpl.dst_.slot_vaddr(addrs[i]), op.psn,
+                       hashes_.checksum_of(op.key, config_.checksum_bits),
+                       config_.checksum_bytes(), op.value,
+                       out.subspan((done + i) * len, len));
     }
     done += m;
   }
@@ -393,56 +276,31 @@ std::size_t ReportCrafter::craft_fetch_add_into(const FrameTemplate& tpl,
                                                 std::uint64_t addend,
                                                 std::uint32_t psn,
                                                 std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kFetchAdd ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
-  const std::size_t len = tpl.prototype_.size();
-  std::memcpy(out.data(), tpl.prototype_.data(), len);
+  if (!tpl.fits(FrameTemplate::Kind::kFetchAdd, out.size())) return 0;
+  std::memcpy(out.data(), tpl.prototype_.data(), tpl.prototype_.size());
   put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
   put_be64(out.data() + kAtomicVaddrOff, vaddr);
   put_be64(out.data() + kAtomicSwapOff, addend);
-  const std::size_t icrc_off = len - rdma::kIcrcLen;
-  Crc32 crc = tpl.crc_prefix_;
-  crc.update(std::span<const std::byte>(
-      out.data() + rdma::kIcrcVariantOffset,
-      icrc_off - rdma::kIcrcVariantOffset));
-  const std::uint32_t icrc = crc.value();
-  std::memcpy(out.data() + icrc_off, &icrc, rdma::kIcrcLen);
-  return len;
+  return seal_icrc(tpl, out);
 }
 
 std::size_t ReportCrafter::craft_compare_swap_into(
     const FrameTemplate& tpl, std::uint64_t vaddr, std::uint64_t compare,
     std::uint64_t swap, std::uint32_t psn, std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kCompareSwap ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
-  const std::size_t len = tpl.prototype_.size();
-  std::memcpy(out.data(), tpl.prototype_.data(), len);
+  if (!tpl.fits(FrameTemplate::Kind::kCompareSwap, out.size())) return 0;
+  std::memcpy(out.data(), tpl.prototype_.data(), tpl.prototype_.size());
   put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
   put_be64(out.data() + kAtomicVaddrOff, vaddr);
   put_be64(out.data() + kAtomicSwapOff, swap);
   put_be64(out.data() + kAtomicCompareOff, compare);
-  const std::size_t icrc_off = len - rdma::kIcrcLen;
-  Crc32 crc = tpl.crc_prefix_;
-  crc.update(std::span<const std::byte>(
-      out.data() + rdma::kIcrcVariantOffset,
-      icrc_off - rdma::kIcrcVariantOffset));
-  const std::uint32_t icrc = crc.value();
-  std::memcpy(out.data() + icrc_off, &icrc, rdma::kIcrcLen);
-  return len;
+  return seal_icrc(tpl, out);
 }
 
 std::size_t ReportCrafter::craft_multiwrite_into(
     const FrameTemplate& tpl, std::span<const std::byte> key,
     std::span<const std::byte> value, std::uint32_t psn,
     std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kMultiwrite ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
+  if (!tpl.fits(FrameTemplate::Kind::kMultiwrite, out.size())) return 0;
   assert(value.size() == config_.value_bytes);
   const std::size_t len = tpl.prototype_.size();
   std::memcpy(out.data(), tpl.prototype_.data(), len);
@@ -484,30 +342,11 @@ std::size_t ReportCrafter::craft_append_into(const FrameTemplate& tpl,
                                              std::span<const std::byte> value,
                                              std::uint32_t psn,
                                              std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kAppend ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
+  if (!tpl.fits(FrameTemplate::Kind::kAppend, out.size())) return 0;
   assert(seq != 0);
   assert(value.size() == ring.value_bytes);
-  const std::size_t len = tpl.prototype_.size();
-  std::memcpy(out.data(), tpl.prototype_.data(), len);
-  put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
-  put_be64(out.data() + kRethVaddrOff,
-           tpl.dst_.slot_vaddr(ring.slot_of(seq)));
-  std::byte* p = out.data() + kWritePayloadOff;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    *p++ = static_cast<std::byte>((seq >> (8 * i)) & 0xFF);
-  }
-  std::memcpy(p, value.data(), value.size());
-  const std::size_t icrc_off = len - rdma::kIcrcLen;
-  Crc32 crc = tpl.crc_prefix_;
-  crc.update(std::span<const std::byte>(
-      out.data() + rdma::kIcrcVariantOffset,
-      icrc_off - rdma::kIcrcVariantOffset));
-  const std::uint32_t icrc = crc.value();
-  std::memcpy(out.data() + icrc_off, &icrc, rdma::kIcrcLen);
-  return len;
+  return patch_reth_write(tpl, tpl.dst_.slot_vaddr(ring.slot_of(seq)), psn,
+                          seq, 8, value, out);
 }
 
 std::size_t ReportCrafter::craft_key_increment_into(
@@ -532,50 +371,14 @@ std::size_t ReportCrafter::craft_postcard_into(
     std::span<const std::byte> flow_key, std::uint32_t hop,
     std::span<const std::byte> value, std::uint32_t psn,
     std::span<std::byte> out) const {
-  if (tpl.kind_ != FrameTemplate::Kind::kPostcard ||
-      out.size() < tpl.prototype_.size()) {
-    return 0;
-  }
+  if (!tpl.fits(FrameTemplate::Kind::kPostcard, out.size())) return 0;
   assert(hop < postcards.max_hops);
   assert(value.size() == postcards.value_bytes);
-  const std::size_t len = tpl.prototype_.size();
-  std::memcpy(out.data(), tpl.prototype_.data(), len);
-  put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
   const std::uint64_t index =
       postcards.slot_index(postcards.group_of(flow_key), hop);
-  put_be64(out.data() + kRethVaddrOff, tpl.dst_.slot_vaddr(index));
-  std::byte* p = out.data() + kWritePayloadOff;
-  const std::uint32_t csum = postcards.checksum_of(flow_key);
-  for (std::uint32_t i = 0; i < postcards.checksum_bytes(); ++i) {
-    *p++ = static_cast<std::byte>((csum >> (8 * i)) & 0xFF);
-  }
-  std::memcpy(p, value.data(), value.size());
-  const std::size_t icrc_off = len - rdma::kIcrcLen;
-  Crc32 crc = tpl.crc_prefix_;
-  crc.update(std::span<const std::byte>(
-      out.data() + rdma::kIcrcVariantOffset,
-      icrc_off - rdma::kIcrcVariantOffset));
-  const std::uint32_t icrc = crc.value();
-  std::memcpy(out.data() + icrc_off, &icrc, rdma::kIcrcLen);
-  return len;
-}
-
-std::vector<std::byte> ReportCrafter::wrap_frame(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    std::span<const std::byte> roce_payload) const {
-  net::UdpFrameSpec spec;
-  spec.src_mac = src.mac;
-  spec.dst_mac = dst.mac;
-  spec.src_ip = src.ip;
-  spec.dst_ip = dst.ip;
-  spec.src_port = src.udp_src_port;
-  spec.dst_port = net::kRoceV2UdpPort;
-
-  auto frame = net::build_udp_frame(spec, roce_payload);
-  const bool ok = rdma::finalize_frame_icrc(frame);
-  assert(ok);
-  (void)ok;
-  return frame;
+  return patch_reth_write(tpl, tpl.dst_.slot_vaddr(index), psn,
+                          postcards.checksum_of(flow_key),
+                          postcards.checksum_bytes(), value, out);
 }
 
 }  // namespace dart::core

@@ -1,14 +1,16 @@
 // ReportCrafter — turns (key, value, slot copy n) into a complete RoCEv2
-// report frame, byte-identical to what the DART switch pipeline emits.
+// report frame, the way the DART switch deparser of §6 does: compute the
+// slot address with the global hash family, then emit UDP/4791 + BTH(WRITE
+// ONLY) + RETH + [checksum ‖ value] + iCRC. switchsim::DartSwitchPipeline
+// crafts every report through it.
 //
-// This is the host-side reference for the P4 deparser logic of §6: compute
-// the slot address with the global hash family, build UDP/4791 + BTH(WRITE
-// ONLY) + RETH + [checksum ‖ value] + iCRC. switchsim::DartSwitch reproduces
-// the same computation with P4-style externs; tests assert the two paths
-// produce frames the RNIC resolves to identical memory effects.
-//
-// Also crafts the §7 extension operations: FETCH_ADD (collector-side flow
-// counters / sketch aggregation) and COMPARE_SWAP (insert-if-empty).
+// Crafting is template-only: make_*_template builds a frame prototype once
+// per (reporter, collector) pair and craft_*_into patches the per-report
+// fields into a caller-owned buffer. Also crafts the §7 extension
+// operations: FETCH_ADD (collector-side flow counters / sketch aggregation),
+// COMPARE_SWAP (insert-if-empty), DTA multiwrite and the DTA primitives.
+// The field-by-field serializers these frames must equal byte for byte live
+// in src/check/reference_crafter.hpp.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +47,11 @@ struct ReporterEndpoint {
 // ConnectX engine computes iCRC in flight; neither rebuilds headers per
 // packet.
 //
-// Built by ReportCrafter::make_*_template; frames produced through a
-// template are byte-identical to the corresponding craft_* output (tests
-// assert this, iCRC included).
+// Built by ReportCrafter::make_*_template from the wire serializers' output
+// with every per-report field zero. Frames produced through a template are
+// byte-identical to the field-by-field reference serializers in
+// src/check/reference_crafter.hpp (tests/check/test_prop_craft.cpp asserts
+// this, iCRC included).
 class FrameTemplate {
  public:
   enum class Kind : std::uint8_t {
@@ -74,6 +78,15 @@ class FrameTemplate {
 
  private:
   friend class ReportCrafter;
+
+  // Caches the CRC state over the prototype's invariant prefix: the masked
+  // iCRC prefix for RoCEv2 kinds, the DTA header head for kMultiwrite.
+  FrameTemplate(Kind kind, const RemoteStoreInfo& dst,
+                std::vector<std::byte> prototype);
+
+  [[nodiscard]] bool fits(Kind kind, std::size_t out_bytes) const noexcept {
+    return kind_ == kind && out_bytes >= prototype_.size();
+  }
 
   Kind kind_ = Kind::kInvalid;
   std::vector<std::byte> prototype_;  // reference frame, variant fields zeroed
@@ -102,93 +115,41 @@ class ReportCrafter {
     return dst.slot_vaddr(hashes_.address_of(key, n, dst.n_slots));
   }
 
-  // Crafts one RDMA WRITE report for copy `n` of (key, value). `psn` is the
-  // sender's per-collector sequence number (the register array of §6).
-  [[nodiscard]] std::vector<std::byte> craft_write(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      std::span<const std::byte> key, std::span<const std::byte> value,
-      std::uint32_t n, std::uint32_t psn) const;
-
-  // Crafts a FETCH_ADD on the 64-bit word at remote `vaddr`.
-  [[nodiscard]] std::vector<std::byte> craft_fetch_add(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      std::uint64_t vaddr, std::uint64_t addend, std::uint32_t psn) const;
-
-  // Crafts a COMPARE_SWAP on the 64-bit word at remote `vaddr`.
-  [[nodiscard]] std::vector<std::byte> craft_compare_swap(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      std::uint64_t vaddr, std::uint64_t compare, std::uint64_t swap,
-      std::uint32_t psn) const;
-
-  // §7 SmartNIC extension: ONE frame that fills all N slots of (key, value).
-  // Requires the collector RNIC to have DTA multiwrite enabled.
-  [[nodiscard]] std::vector<std::byte> craft_multiwrite(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      std::span<const std::byte> key, std::span<const std::byte> value,
-      std::uint32_t psn) const;
-
-  // --- DTA translator primitives (primitives.hpp) --------------------------
-  //
-  // Crafting modes for the Append / Key-Increment / Postcarding regions.
-  // `dst` is the matching region row from the collector
-  // (remote_ring_info() / remote_counter_info() / remote_postcard_info()).
-
-  // Building block: RDMA WRITE of an arbitrary payload at `vaddr` in `dst`.
-  [[nodiscard]] std::vector<std::byte> craft_raw_write(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      std::uint64_t vaddr, std::span<const std::byte> payload,
-      std::uint32_t psn) const;
-
-  // Append: entry `seq` (the switch's tail value, 1-based) into the ring.
-  [[nodiscard]] std::vector<std::byte> craft_append(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      const AppendRingConfig& ring, std::uint64_t seq,
-      std::span<const std::byte> value, std::uint32_t psn) const;
-
-  // Key-Increment: FETCH_ADD of `delta` on the cell owning `key`.
-  [[nodiscard]] std::vector<std::byte> craft_key_increment(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      const CounterArrayConfig& counters, std::span<const std::byte> key,
-      std::uint64_t delta, std::uint32_t psn) const;
-
-  // Sketch backend (store_backend.hpp): FETCH_ADD of `delta` on row `row`'s
-  // cell of `key` in a sketch-backed collector's MR. One telemetry report =
-  // one such frame per sketch row; `dst` is the sketch collector's row
-  // (slot_bytes == 8, one slot per cell).
-  [[nodiscard]] std::vector<std::byte> craft_sketch_increment(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      const SketchBackendConfig& sketch, std::span<const std::byte> key,
-      std::uint32_t row, std::uint64_t delta, std::uint32_t psn) const;
-
-  // Postcarding: hop `hop` of `flow_key`'s slot group.
-  [[nodiscard]] std::vector<std::byte> craft_postcard(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      const PostcardConfig& postcards, std::span<const std::byte> flow_key,
-      std::uint32_t hop, std::span<const std::byte> value,
-      std::uint32_t psn) const;
-
-  // --- Zero-allocation fast path -----------------------------------------
+  // --- Templates ----------------------------------------------------------
   //
   // make_*_template precomputes the frame skeleton for a (src, dst) pair;
   // the craft_*_into counterparts patch variant fields into a caller-owned
   // buffer and return the frame length, or 0 if the template kind does not
-  // match or `out` is smaller than tpl.frame_size(). Output is byte-
-  // identical to the matching craft_* call.
+  // match or `out` is smaller than tpl.frame_size(). `psn` is the sender's
+  // per-collector sequence number (the register array of §6); RoCEv2 frames
+  // carry its low 24 bits, DTA multiwrite frames all 32.
 
+  // RDMA WRITE of copy `n` of (key, value) into its slot.
   [[nodiscard]] FrameTemplate make_write_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src) const;
-  // `op` must be kRcFetchAdd or kRcCompareSwap; anything else yields an
-  // invalid template.
+  // FETCH_ADD / COMPARE_SWAP on one 64-bit word. `op` must be kRcFetchAdd
+  // or kRcCompareSwap; anything else yields an invalid template.
   [[nodiscard]] FrameTemplate make_atomic_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src,
       rdma::Opcode op) const;
+  // §7 SmartNIC extension: ONE frame that fills all N slots of (key,
+  // value). Requires the collector RNIC to have DTA multiwrite enabled.
   [[nodiscard]] FrameTemplate make_multiwrite_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src) const;
+
+  // DTA translator primitives (primitives.hpp). `dst` is the matching
+  // region row from the collector (remote_ring_info() /
+  // remote_counter_info() / remote_postcard_info()).
+  //
+  // Key-Increment frames come from make_atomic_template(kRcFetchAdd) with
+  // `dst` = the counter region row; see craft_key_increment_into.
+  //
+  // Append: WRITE of entry `seq` (the switch's tail value, 1-based) into
+  // the ring.
   [[nodiscard]] FrameTemplate make_append_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src,
       const AppendRingConfig& ring) const;
-  // Key-Increment frames come from make_atomic_template(kRcFetchAdd) with
-  // `dst` = the counter region row; see craft_key_increment_into.
+  // Postcarding: WRITE of hop `hop` into `flow_key`'s slot group.
   [[nodiscard]] FrameTemplate make_postcard_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src,
       const PostcardConfig& postcards) const;
@@ -253,6 +214,8 @@ class ReportCrafter {
                                        std::span<const std::byte> key,
                                        std::uint64_t delta, std::uint32_t psn,
                                        std::span<std::byte> out) const;
+  // Sketch backend (store_backend.hpp): FETCH_ADD of `delta` on row `row`'s
+  // cell of `key`; one telemetry report is one such frame per sketch row.
   // `tpl` must be a kFetchAdd template built for the sketch-backed row.
   std::size_t craft_sketch_increment_into(const FrameTemplate& tpl,
                                           const SketchBackendConfig& sketch,
@@ -270,18 +233,23 @@ class ReportCrafter {
                                   std::span<std::byte> out) const;
 
  private:
-  [[nodiscard]] std::vector<std::byte> wrap_frame(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      std::span<const std::byte> roce_payload) const;
+  // The shared body of the RETH WRITE fast paths (slot WRITE, Append,
+  // Postcard): copy the prototype, patch PSN and `vaddr`, write the payload
+  // as the little-endian `tag` in `tag_bytes` bytes (key checksum or Append
+  // seq) followed by `value`, then seal the iCRC. The caller checks the
+  // template kind and the size of `out`.
+  static std::size_t patch_reth_write(const FrameTemplate& tpl,
+                                      std::uint64_t vaddr, std::uint32_t psn,
+                                      std::uint64_t tag,
+                                      std::uint32_t tag_bytes,
+                                      std::span<const std::byte> value,
+                                      std::span<std::byte> out);
 
-  // The shared patch step of the WRITE fast paths: memcpy the prototype,
-  // patch PSN / vaddr / payload, resume the cached prefix CRC. `vaddr` is
-  // the remote virtual address (already through RemoteStoreInfo::slot_vaddr).
-  std::size_t patch_write_frame(const FrameTemplate& tpl,
-                                std::span<const std::byte> key,
-                                std::span<const std::byte> value,
-                                std::uint64_t vaddr, std::uint32_t psn,
-                                std::span<std::byte> out) const;
+  // The shared tail of every RoCEv2 craft_*_into: resumes the template's
+  // cached prefix CRC over the patched variant bytes and stores the iCRC.
+  // Returns the frame length.
+  static std::size_t seal_icrc(const FrameTemplate& tpl,
+                               std::span<std::byte> out);
 
   DartConfig config_;
   HashFamily hashes_;

@@ -37,12 +37,6 @@ void DartSwitchPipeline::load_primitives(
   const std::uint32_t id = ring_row.collector_id;
   assert(counter_row.collector_id == id && postcard_row.collector_id == id);
 
-  PrimitiveRows rows;
-  rows.ring = ring_row;
-  rows.counters = counter_row;
-  rows.postcards = postcard_row;
-  primitive_rows_[id] = rows;
-
   PrimitiveTemplates tpls;
   tpls.append =
       crafter_.make_append_template(ring_row, self_, config_.primitives.ring);
@@ -174,41 +168,20 @@ void DartSwitchPipeline::emit_telemetry(
     return;
   }
 
-  // Deparser templates built by load_collector; the slow reconstruct-and-
-  // reserialize path below only runs if the cache is somehow out of sync.
-  const auto tpl_it = egress_tpls_.find(collector_id);
-
-  // Reconstruct the directory row the crafter expects from the action data.
-  core::RemoteStoreInfo dst;
-  dst.collector_id = collector_id;
-  dst.mac = entry->mac;
-  dst.ip = net::Ipv4Addr{entry->ip};
-  dst.qpn = entry->qpn;
-  dst.rkey = entry->rkey;
-  dst.base_vaddr = entry->base_vaddr;
-  dst.n_slots = entry->n_slots;
-  dst.slot_bytes = entry->slot_bytes;
-  dst.backend = entry->backend;
+  // The deparser templates load_collector built alongside the row.
+  const EgressTemplates& tpls = egress_tpls_.find(collector_id)->second;
 
   if (entry->backend == core::StoreBackendKind::kSketch) {
     // Sketch fan-out: one FETCH_ADD of 1 per sketch row, each consuming its
     // own PSN — a telemetry event on a sketch-backed collector is `rows`
     // wire ops, the aggregation itself happening in the collector's RNIC.
     for (std::uint32_t row = 0; row < config_.sketch.rows; ++row) {
-      const std::uint32_t psn = psn_regs_.rmw(
-          collector_id,
-          [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
-      if (tpl_it != egress_tpls_.end() && tpl_it->second.fetch_add.valid()) {
-        const core::FrameTemplate& tpl = tpl_it->second.fetch_add;
-        auto& frame = frames.emplace_back(tpl.frame_size());
-        const std::size_t len = crafter_.craft_sketch_increment_into(
-            tpl, config_.sketch, key, row, /*delta=*/1, psn, frame);
-        (void)len;
-        assert(len == frame.size());
-      } else {
-        frames.push_back(crafter_.craft_sketch_increment(
-            dst, self_, config_.sketch, key, row, /*delta=*/1, psn));
-      }
+      auto& frame = frames.emplace_back(tpls.fetch_add.frame_size());
+      const std::size_t len = crafter_.craft_sketch_increment_into(
+          tpls.fetch_add, config_.sketch, key, row, /*delta=*/1,
+          next_psn(collector_id), frame);
+      (void)len;
+      assert(len == frame.size());
       ++counters_.reports_emitted;
       ++counters_.sketch_increments_emitted;
     }
@@ -216,18 +189,11 @@ void DartSwitchPipeline::emit_telemetry(
   }
 
   if (config_.use_dta_multiwrite) {
-    const std::uint32_t psn = psn_regs_.rmw(
-        collector_id, [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
-    if (tpl_it != egress_tpls_.end() && tpl_it->second.multiwrite.valid()) {
-      const core::FrameTemplate& tpl = tpl_it->second.multiwrite;
-      auto& frame = frames.emplace_back(tpl.frame_size());
-      const std::size_t len =
-          crafter_.craft_multiwrite_into(tpl, key, value, psn, frame);
-      (void)len;
-      assert(len == frame.size());
-    } else {
-      frames.push_back(crafter_.craft_multiwrite(dst, self_, key, value, psn));
-    }
+    auto& frame = frames.emplace_back(tpls.multiwrite.frame_size());
+    const std::size_t len = crafter_.craft_multiwrite_into(
+        tpls.multiwrite, key, value, next_psn(collector_id), frame);
+    (void)len;
+    assert(len == frame.size());
     ++counters_.reports_emitted;
     return;
   }
@@ -238,35 +204,28 @@ void DartSwitchPipeline::emit_telemetry(
 
   for (std::uint32_t i = 0; i < emit_count; ++i) {
     const std::uint32_t n = all_slots ? i : rng_.next(n_addr);
-    // Per-collector PSN counter: one register cell, read-modify-write.
-    const std::uint32_t psn = psn_regs_.rmw(
-        collector_id, [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
-    if (tpl_it != egress_tpls_.end() && tpl_it->second.write.valid()) {
-      const core::FrameTemplate& tpl = tpl_it->second.write;
-      auto& frame = frames.emplace_back(tpl.frame_size());
-      const std::size_t len =
-          crafter_.craft_write_into(tpl, key, value, n, psn, frame);
-      (void)len;
-      assert(len == frame.size());
-    } else {
-      frames.push_back(crafter_.craft_write(dst, self_, key, value, n, psn));
-    }
+    auto& frame = frames.emplace_back(tpls.write.frame_size());
+    const std::size_t len = crafter_.craft_write_into(
+        tpls.write, key, value, n, next_psn(collector_id), frame);
+    (void)len;
+    assert(len == frame.size());
     ++counters_.reports_emitted;
   }
 }
 
-const DartSwitchPipeline::PrimitiveRows* DartSwitchPipeline::primitive_rows_of(
-    std::span<const std::byte> key, std::uint32_t& collector_id) {
+const DartSwitchPipeline::PrimitiveTemplates*
+DartSwitchPipeline::primitive_templates_of(std::span<const std::byte> key,
+                                           std::uint32_t& collector_id) {
   ++counters_.telemetry_events;
-  const auto n = static_cast<std::uint32_t>(primitive_rows_.size());
+  const auto n = static_cast<std::uint32_t>(primitive_tpls_.size());
   if (n == 0) {
     ++counters_.table_misses;
     return nullptr;
   }
   collector_id = ring_mode() ? prim_selector_->owner_of(key)
                              : hash_engine_.collector_id(key, n);
-  const auto it = primitive_rows_.find(collector_id);
-  if (it == primitive_rows_.end()) {
+  const auto it = primitive_tpls_.find(collector_id);
+  if (it == primitive_tpls_.end()) {
     ++counters_.table_misses;
     return nullptr;
   }
@@ -276,30 +235,20 @@ const DartSwitchPipeline::PrimitiveRows* DartSwitchPipeline::primitive_rows_of(
 std::vector<std::byte> DartSwitchPipeline::on_append_event(
     std::span<const std::byte> key, std::span<const std::byte> value) {
   std::uint32_t collector_id = 0;
-  const PrimitiveRows* rows = primitive_rows_of(key, collector_id);
-  if (rows == nullptr) return {};
+  const PrimitiveTemplates* tpls = primitive_templates_of(key, collector_id);
+  if (tpls == nullptr) return {};
 
   // Tail register bump: this report's 1-based sequence number. Consumed even
   // if the frame is later lost — the collector-side reader sees the hole.
   const std::uint64_t seq =
       append_tails_.rmw(collector_id, [](std::uint64_t old) { return old + 1; }) +
       1;
-  const std::uint32_t psn = psn_regs_.rmw(
-      collector_id, [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
-
-  std::vector<std::byte> frame;
-  const auto tpl_it = primitive_tpls_.find(collector_id);
-  if (tpl_it != primitive_tpls_.end() && tpl_it->second.append.valid()) {
-    const core::FrameTemplate& tpl = tpl_it->second.append;
-    frame.resize(tpl.frame_size());
-    const std::size_t len = crafter_.craft_append_into(
-        tpl, config_.primitives.ring, seq, value, psn, frame);
-    (void)len;
-    assert(len == frame.size());
-  } else {
-    frame = crafter_.craft_append(rows->ring, self_, config_.primitives.ring,
-                                  seq, value, psn);
-  }
+  std::vector<std::byte> frame(tpls->append.frame_size());
+  const std::size_t len =
+      crafter_.craft_append_into(tpls->append, config_.primitives.ring, seq,
+                                 value, next_psn(collector_id), frame);
+  (void)len;
+  assert(len == frame.size());
   ++counters_.reports_emitted;
   ++counters_.appends_emitted;
   return frame;
@@ -308,26 +257,15 @@ std::vector<std::byte> DartSwitchPipeline::on_append_event(
 std::vector<std::byte> DartSwitchPipeline::on_increment_event(
     std::span<const std::byte> key, std::uint64_t delta) {
   std::uint32_t collector_id = 0;
-  const PrimitiveRows* rows = primitive_rows_of(key, collector_id);
-  if (rows == nullptr) return {};
+  const PrimitiveTemplates* tpls = primitive_templates_of(key, collector_id);
+  if (tpls == nullptr) return {};
 
-  const std::uint32_t psn = psn_regs_.rmw(
-      collector_id, [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
-
-  std::vector<std::byte> frame;
-  const auto tpl_it = primitive_tpls_.find(collector_id);
-  if (tpl_it != primitive_tpls_.end() && tpl_it->second.increment.valid()) {
-    const core::FrameTemplate& tpl = tpl_it->second.increment;
-    frame.resize(tpl.frame_size());
-    const std::size_t len = crafter_.craft_key_increment_into(
-        tpl, config_.primitives.counters, key, delta, psn, frame);
-    (void)len;
-    assert(len == frame.size());
-  } else {
-    frame = crafter_.craft_key_increment(rows->counters, self_,
-                                         config_.primitives.counters, key,
-                                         delta, psn);
-  }
+  std::vector<std::byte> frame(tpls->increment.frame_size());
+  const std::size_t len = crafter_.craft_key_increment_into(
+      tpls->increment, config_.primitives.counters, key, delta,
+      next_psn(collector_id), frame);
+  (void)len;
+  assert(len == frame.size());
   ++counters_.reports_emitted;
   ++counters_.increments_emitted;
   return frame;
@@ -337,26 +275,16 @@ std::vector<std::byte> DartSwitchPipeline::on_postcard_event(
     std::span<const std::byte> flow_key, std::uint32_t hop,
     std::span<const std::byte> value) {
   std::uint32_t collector_id = 0;
-  const PrimitiveRows* rows = primitive_rows_of(flow_key, collector_id);
-  if (rows == nullptr) return {};
+  const PrimitiveTemplates* tpls =
+      primitive_templates_of(flow_key, collector_id);
+  if (tpls == nullptr) return {};
 
-  const std::uint32_t psn = psn_regs_.rmw(
-      collector_id, [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
-
-  std::vector<std::byte> frame;
-  const auto tpl_it = primitive_tpls_.find(collector_id);
-  if (tpl_it != primitive_tpls_.end() && tpl_it->second.postcard.valid()) {
-    const core::FrameTemplate& tpl = tpl_it->second.postcard;
-    frame.resize(tpl.frame_size());
-    const std::size_t len = crafter_.craft_postcard_into(
-        tpl, config_.primitives.postcards, flow_key, hop, value, psn, frame);
-    (void)len;
-    assert(len == frame.size());
-  } else {
-    frame = crafter_.craft_postcard(rows->postcards, self_,
-                                    config_.primitives.postcards, flow_key,
-                                    hop, value, psn);
-  }
+  std::vector<std::byte> frame(tpls->postcard.frame_size());
+  const std::size_t len = crafter_.craft_postcard_into(
+      tpls->postcard, config_.primitives.postcards, flow_key, hop, value,
+      next_psn(collector_id), frame);
+  (void)len;
+  assert(len == frame.size());
   ++counters_.reports_emitted;
   ++counters_.postcards_emitted;
   return frame;

@@ -98,7 +98,6 @@ class DartSwitchPipeline {
   void unload_collector(std::uint32_t collector_id) {
     table_.remove(collector_id);
     egress_tpls_.erase(collector_id);
-    primitive_rows_.erase(collector_id);
     primitive_tpls_.erase(collector_id);
     if (kv_selector_) kv_selector_->remove_member(collector_id);
     if (prim_selector_) prim_selector_->remove_member(collector_id);
@@ -106,7 +105,6 @@ class DartSwitchPipeline {
   void clear_collectors() {
     table_ = {};
     egress_tpls_.clear();
-    primitive_rows_.clear();
     primitive_tpls_.clear();
     if (kv_selector_) kv_selector_->set_members({});
     if (prim_selector_) prim_selector_->set_members({});
@@ -127,7 +125,7 @@ class DartSwitchPipeline {
                        const core::RemoteStoreInfo& counter_row,
                        const core::RemoteStoreInfo& postcard_row);
   [[nodiscard]] std::size_t primitive_collectors_loaded() const noexcept {
-    return primitive_rows_.size();
+    return primitive_tpls_.size();
   }
 
   // Failover control plane (docs/FAULTS.md): re-points the lookup-table row
@@ -170,7 +168,7 @@ class DartSwitchPipeline {
     if (kv_selector_ && table_.lookup(collector_id)) {
       kv_selector_->add_member(collector_id);
     }
-    if (prim_selector_ && primitive_rows_.contains(collector_id)) {
+    if (prim_selector_ && primitive_tpls_.contains(collector_id)) {
       prim_selector_->add_member(collector_id);
     }
   }
@@ -251,23 +249,19 @@ class DartSwitchPipeline {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
-  // Deparser fast path: precomputed frame templates per loaded collector,
-  // built by the control plane alongside the lookup-table row — the software
-  // analogue of a Tofino deparser emitting a fixed header template. Kept in
-  // sync with table_ by load/unload/clear.
+  // Deparser: precomputed frame templates per loaded collector, built by
+  // the control plane alongside the lookup-table row — the software
+  // analogue of a Tofino deparser emitting a fixed header template. Each
+  // template carries its destination row (FrameTemplate::dst()). Kept in
+  // sync with table_ by load/unload/clear, so every table hit has them.
   struct EgressTemplates {
     core::FrameTemplate write;
     core::FrameTemplate multiwrite;  // only valid() when use_dta_multiwrite
     core::FrameTemplate fetch_add;   // only valid() for sketch-backed rows
   };
 
-  // Primitive region directory rows + their deparser templates, one set per
-  // collector with load_primitives() installed.
-  struct PrimitiveRows {
-    core::RemoteStoreInfo ring;
-    core::RemoteStoreInfo counters;
-    core::RemoteStoreInfo postcards;
-  };
+  // The deparser templates of one collector's primitive region rows
+  // (load_primitives).
   struct PrimitiveTemplates {
     core::FrameTemplate append;
     core::FrameTemplate increment;  // kFetchAdd against the counter region
@@ -276,8 +270,16 @@ class DartSwitchPipeline {
 
   // Collector owning `key` among the loaded primitive rows, or nullptr on a
   // miss (counted). Shared head of the three primitive entry points.
-  const PrimitiveRows* primitive_rows_of(std::span<const std::byte> key,
-                                         std::uint32_t& collector_id);
+  const PrimitiveTemplates* primitive_templates_of(
+      std::span<const std::byte> key, std::uint32_t& collector_id);
+
+  // Per-collector PSN counter: one register cell, read-modify-write.
+  // Returns the PSN the next report to `collector_id` carries.
+  std::uint32_t next_psn(std::uint32_t collector_id) noexcept {
+    return psn_regs_.rmw(collector_id, [](std::uint32_t old) {
+      return (old + 1) & 0x00FF'FFFFu;
+    });
+  }
 
   // Shared body of on_telemetry / on_telemetry_batch: emits the frame(s) for
   // one event into `frames`. `precomputed_id` < 0 means "hash the key here";
@@ -311,7 +313,6 @@ class DartSwitchPipeline {
   core::ReportCrafter crafter_;
   core::ReporterEndpoint self_;
   std::unordered_map<std::uint32_t, EgressTemplates> egress_tpls_;
-  std::unordered_map<std::uint32_t, PrimitiveRows> primitive_rows_;
   std::unordered_map<std::uint32_t, PrimitiveTemplates> primitive_tpls_;
   SwitchCounters counters_;
 };

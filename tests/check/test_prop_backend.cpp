@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "check/property.hpp"
+#include "check/reference_crafter.hpp"
 #include "check/rng.hpp"
 #include "core/collector.hpp"
 #include "core/epoch_rotation.hpp"
@@ -76,6 +77,7 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
 
   core::Collector collector(dart, 0, endpoint(), choice);
   const core::ReportCrafter crafter(dart);
+  const ReferenceCrafter reference(dart);
   const auto info = collector.remote_info();
   const auto tpl =
       crafter.make_atomic_template(info, reporter(), rdma::Opcode::kRcFetchAdd);
@@ -103,8 +105,8 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
           return Failure{"template crafting returned short frame", {}};
         }
       } else {
-        frame = crafter.craft_sketch_increment(info, reporter(), cfg, key, row,
-                                               delta, this_psn);
+        frame = reference.craft_sketch_increment(info, reporter(), cfg, key,
+                                                 row, delta, this_psn);
       }
       if (!collector.rnic().process_frame(frame).has_value()) {
         return Failure{"RNIC rejected a crafted sketch FETCH_ADD", frame};
@@ -260,11 +262,13 @@ std::optional<Failure> torn_read_rotation(Rng& rng) {
       // Fresh row per burst: after a flip the next burst lands on the new
       // active region, and `bursts_done` publishing (release) lets the
       // auditor prove the old region went quiescent.
-      const auto row = collector.active_info();
+      const auto tpl =
+          crafter.make_write_template(collector.active_info(), reporter());
+      std::vector<std::byte> frame(tpl.frame_size());
       for (std::uint64_t j = 0; j < kUniverse; ++j) {
         for (std::uint32_t n = 0; n < dart.n_addresses; ++n) {
-          const auto frame = crafter.craft_write(
-              row, reporter(), core::sim_key(j), value_of(j), n, psn++);
+          crafter.craft_write_into(tpl, core::sim_key(j), value_of(j), n,
+                                   psn++, frame);
           if (!collector.rnic().process_frame(frame).has_value()) {
             stop.store(true, std::memory_order_release);
             return;

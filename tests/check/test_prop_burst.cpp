@@ -158,34 +158,45 @@ std::optional<Failure> burst_ingest_identity(Rng& rng) {
   const auto dst = one_by_one.remote_info();
   const auto src = burst_reporter();
 
+  const auto write_tpl = crafter.make_write_template(dst, src);
+  const auto multiwrite_tpl = crafter.make_multiwrite_template(dst, src);
+  const auto fetch_add_tpl =
+      crafter.make_atomic_template(dst, src, rdma::Opcode::kRcFetchAdd);
+
   const std::size_t n_frames = 1 + rng.below(80);  // crosses the 32-frame burst
   std::vector<std::vector<std::byte>> frames(n_frames);
   std::uint32_t psn = 0;
   for (std::size_t i = 0; i < n_frames; ++i) {
     const auto key = core::sim_key(gen_key(rng));
     const auto value = gen_value(rng, cfg.value_bytes);
+    const auto write_copy = [&] {
+      frames[i].resize(write_tpl.frame_size());
+      crafter.craft_write_into(
+          write_tpl, key, value,
+          static_cast<std::uint32_t>(rng.below(cfg.n_addresses)), psn++,
+          frames[i]);
+    };
     const auto shape = rng.below(10);
     switch (shape) {
       case 0:  // DTA multiwrite: all N copies in one frame
-        frames[i] = crafter.craft_multiwrite(dst, src, key, value, psn++);
+        frames[i].resize(multiwrite_tpl.frame_size());
+        crafter.craft_multiwrite_into(multiwrite_tpl, key, value, psn++,
+                                      frames[i]);
         break;
       case 1:  // atomic FETCH_ADD on a store word
-        frames[i] = crafter.craft_fetch_add(
-            dst, src, dst.base_vaddr + rng.below(cfg.n_slots) * 8,
-            rng.below(1u << 16), psn++);
+        frames[i].resize(fetch_add_tpl.frame_size());
+        crafter.craft_fetch_add_into(
+            fetch_add_tpl, dst.base_vaddr + rng.below(cfg.n_slots) * 8,
+            rng.below(1u << 16), psn++, frames[i]);
         break;
       case 2: {  // corrupted: one flipped byte in an otherwise valid WRITE
-        frames[i] = crafter.craft_write(
-            dst, src, key, value,
-            static_cast<std::uint32_t>(rng.below(cfg.n_addresses)), psn++);
+        write_copy();
         auto& f = frames[i];
         f[rng.below(f.size())] ^= static_cast<std::byte>(1 + rng.below(255));
         break;
       }
       case 3: {  // truncated valid WRITE (any prefix length, even 0)
-        frames[i] = crafter.craft_write(
-            dst, src, key, value,
-            static_cast<std::uint32_t>(rng.below(cfg.n_addresses)), psn++);
+        write_copy();
         frames[i].resize(rng.below(frames[i].size()));
         break;
       }
@@ -197,9 +208,7 @@ std::optional<Failure> burst_ingest_identity(Rng& rng) {
         break;
       }
       default:  // valid WRITE of one copy
-        frames[i] = crafter.craft_write(
-            dst, src, key, value,
-            static_cast<std::uint32_t>(rng.below(cfg.n_addresses)), psn++);
+        write_copy();
         break;
     }
   }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "check/property.hpp"
+#include "check/reference_crafter.hpp"
 #include "check/rng.hpp"
 #include "common/hash.hpp"
 #include "core/collector.hpp"
@@ -28,7 +29,7 @@ namespace dart::check {
 namespace {
 
 // The field-by-field serializers every template frame is diffed against.
-using Oracle = core::ReportCrafter;
+using Oracle = ReferenceCrafter;
 
 constexpr std::byte kPoison{0xA5};
 

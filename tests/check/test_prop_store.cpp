@@ -188,8 +188,10 @@ std::optional<Failure> frame_mutation_property(Rng& rng) {
   const auto key = core::sim_key(gen_key(rng));
   const auto value = gen_value(rng, cfg.value_bytes);
   const auto n = static_cast<std::uint32_t>(rng.below(cfg.n_addresses));
-  const auto frame = crafter.craft_write(pristine.remote_info(), dep.reporter,
-                                         key, value, n, /*psn=*/0);
+  const auto tpl =
+      crafter.make_write_template(pristine.remote_info(), dep.reporter);
+  std::vector<std::byte> frame(tpl.frame_size());
+  crafter.craft_write_into(tpl, key, value, n, /*psn=*/0, frame);
   pristine.rnic().process_frame(frame);
 
   auto mutated = frame;

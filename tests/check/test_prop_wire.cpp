@@ -109,8 +109,9 @@ TEST(PropWire, OpStreamsMatchReferenceFabric) {
   EXPECT_GE(report.cases_run, 1000u);
 }
 
-// Template fast path vs allocating crafters, byte-for-byte on random
-// parameters (WireDriver alternates them per PSN; this pins them directly).
+// Template path vs the field-by-field ReferenceCrafter, byte-for-byte on
+// random parameters (WireDriver alternates them per PSN; this pins them
+// directly).
 std::optional<Failure> template_identity_property(Rng& rng) {
   const auto cfg = gen_small_config(rng);
   WireDriver driver(cfg);  // only used for its crafter/dst wiring
@@ -129,7 +130,8 @@ std::optional<Failure> template_identity_property(Rng& rng) {
   std::vector<std::byte> fast(tpl.frame_size());
   const auto len = crafter.craft_write_into(tpl, key, value, n, psn, fast);
   fast.resize(len);
-  const auto reference = crafter.craft_write(dst, src, key, value, n, psn);
+  const auto reference =
+      ReferenceCrafter(cfg).craft_write(dst, src, key, value, n, psn);
   if (fast != reference) {
     return Failure{"template write frame differs from reference crafter",
                    reference};

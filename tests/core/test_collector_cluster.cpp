@@ -58,9 +58,11 @@ TEST(Collector, RdmaReportBecomesQueryable) {
 
   const std::string key = "flow-X";
   const auto value = value_of(0x1234);
+  const auto tpl = crafter.make_write_template(c.remote_info(), src);
+  std::vector<std::byte> frame(tpl.frame_size());
   for (std::uint32_t n = 0; n < 2; ++n) {
-    const auto frame = crafter.craft_write(c.remote_info(), src,
-                                           bytes_of(key), value, n, n);
+    ASSERT_EQ(crafter.craft_write_into(tpl, bytes_of(key), value, n, n, frame),
+              frame.size());
     ASSERT_TRUE(c.rnic().process_frame(frame).has_value());
   }
   EXPECT_EQ(c.ingest_counters().writes, 2u);
@@ -85,8 +87,11 @@ TEST(Collector, ForeignRkeyRejected) {
   auto info = b.remote_info();
   info.qpn = a.remote_info().qpn;  // valid QP at A, but B's rkey
   const std::string key = "flow-Y";
-  const auto frame =
-      crafter.craft_write(info, src, bytes_of(key), value_of(1), 0, 0);
+  const auto tpl = crafter.make_write_template(info, src);
+  std::vector<std::byte> frame(tpl.frame_size());
+  ASSERT_EQ(
+      crafter.craft_write_into(tpl, bytes_of(key), value_of(1), 0, 0, frame),
+      frame.size());
   EXPECT_FALSE(a.rnic().process_frame(frame).has_value());
   EXPECT_EQ(a.ingest_counters().bad_rkey, 1u);
 }

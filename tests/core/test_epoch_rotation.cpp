@@ -57,9 +57,11 @@ class RotationFixture : public ::testing::Test {
   void report(RotatingCollector& collector, const RemoteStoreInfo& dst,
               std::uint64_t key_id, std::uint64_t v, std::uint32_t n) {
     const ReportCrafter crafter(config());
-    ReporterEndpoint src;
-    const auto frame = crafter.craft_write(dst, src, sim_key(key_id),
-                                           value_of(v), n, psn_++);
+    const auto tpl = crafter.make_write_template(dst, ReporterEndpoint{});
+    std::vector<std::byte> frame(tpl.frame_size());
+    ASSERT_EQ(crafter.craft_write_into(tpl, sim_key(key_id), value_of(v), n,
+                                       psn_++, frame),
+              frame.size());
     ASSERT_TRUE(collector.rnic().process_frame(frame).has_value());
   }
 
@@ -178,9 +180,10 @@ TEST_F(RotationFixture, WrongRkeyStillRejected) {
   auto bogus = collector.active_info();
   bogus.rkey ^= 0xFFFF;
   const ReportCrafter crafter(config());
-  ReporterEndpoint src;
-  const auto frame =
-      crafter.craft_write(bogus, src, sim_key(1), value_of(1), 0, 0);
+  const auto tpl = crafter.make_write_template(bogus, ReporterEndpoint{});
+  std::vector<std::byte> frame(tpl.frame_size());
+  ASSERT_EQ(crafter.craft_write_into(tpl, sim_key(1), value_of(1), 0, 0, frame),
+            frame.size());
   EXPECT_FALSE(collector.rnic().process_frame(frame).has_value());
   EXPECT_EQ(collector.rnic().counters().bad_rkey, 1u);
 }

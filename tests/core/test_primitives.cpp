@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "check/reference_crafter.hpp"
 #include "core/atomics_store.hpp"
 #include "core/collector.hpp"
 #include "core/oracle.hpp"
@@ -241,10 +242,13 @@ class PrimitiveWireFixture : public ::testing::Test {
 
 TEST_F(PrimitiveWireFixture, AppendFramesLandInRingSlots) {
   const auto dst = collector_->remote_ring_info();
+  const auto tpl = crafter_->make_append_template(dst, src_, prim_.ring);
+  std::vector<std::byte> frame(tpl.frame_size());
   for (std::uint64_t seq = 1; seq <= 10; ++seq) {  // wraps the 8-entry ring
-    const auto frame = crafter_->craft_append(
-        dst, src_, prim_.ring, seq, value_of(seq, prim_.ring.value_bytes),
-        static_cast<std::uint32_t>(seq));
+    ASSERT_EQ(crafter_->craft_append_into(
+                  tpl, prim_.ring, seq, value_of(seq, prim_.ring.value_bytes),
+                  static_cast<std::uint32_t>(seq), frame),
+              frame.size());
     collector_->rnic().process_frame(frame);
   }
   const auto& c = collector_->ingest_counters();
@@ -262,9 +266,13 @@ TEST_F(PrimitiveWireFixture, KeyIncrementFramesAggregateInCells) {
   const auto dst = collector_->remote_counter_info();
   // Two "switches" (distinct PSN spaces don't matter for FETCH_ADD) add
   // into one array: the result is the network-wide aggregate.
+  const auto tpl =
+      crafter_->make_atomic_template(dst, src_, rdma::Opcode::kRcFetchAdd);
+  std::vector<std::byte> frame(tpl.frame_size());
   for (std::uint32_t psn = 0; psn < 6; ++psn) {
-    const auto frame = crafter_->craft_key_increment(
-        dst, src_, prim_.counters, sim_key(psn % 2), 10 + psn, psn);
+    ASSERT_EQ(crafter_->craft_key_increment_into(
+                  tpl, prim_.counters, sim_key(psn % 2), 10 + psn, psn, frame),
+              frame.size());
     collector_->rnic().process_frame(frame);
   }
   EXPECT_EQ(collector_->ingest_counters().fetch_adds.load(), 6u);
@@ -276,10 +284,13 @@ TEST_F(PrimitiveWireFixture, KeyIncrementFramesAggregateInCells) {
 TEST_F(PrimitiveWireFixture, PostcardFramesAssembleTheFlowPath) {
   const auto dst = collector_->remote_postcard_info();
   const auto flow = sim_key(7);
+  const auto tpl = crafter_->make_postcard_template(dst, src_, prim_.postcards);
+  std::vector<std::byte> frame(tpl.frame_size());
   for (const std::uint32_t hop : {0u, 1u, 3u}) {
-    const auto frame = crafter_->craft_postcard(
-        dst, src_, prim_.postcards, flow, hop,
-        value_of(100 + hop, prim_.postcards.value_bytes), hop);
+    ASSERT_EQ(crafter_->craft_postcard_into(
+                  tpl, prim_.postcards, flow, hop,
+                  value_of(100 + hop, prim_.postcards.value_bytes), hop, frame),
+              frame.size());
     collector_->rnic().process_frame(frame);
   }
   const auto view = collector_->postcards().read_group(flow);
@@ -303,13 +314,15 @@ TEST_F(PrimitiveWireFixture, TemplatePathsAreByteIdentical) {
   std::vector<std::byte> fast(append_tpl.frame_size());
   auto n = crafter_->craft_append_into(append_tpl, prim_.ring, 12, value, 9, fast);
   fast.resize(n);
-  EXPECT_EQ(fast, crafter_->craft_append(ring_dst, src_, prim_.ring, 12, value, 9));
+  const check::ReferenceCrafter reference(cfg_);
+  EXPECT_EQ(fast,
+            reference.craft_append(ring_dst, src_, prim_.ring, 12, value, 9));
 
   fast.assign(inc_tpl.frame_size(), std::byte{0});
   n = crafter_->craft_key_increment_into(inc_tpl, prim_.counters, sim_key(4),
                                          77, 9, fast);
   fast.resize(n);
-  EXPECT_EQ(fast, crafter_->craft_key_increment(ctr_dst, src_, prim_.counters,
+  EXPECT_EQ(fast, reference.craft_key_increment(ctr_dst, src_, prim_.counters,
                                                 sim_key(4), 77, 9));
 
   const auto pv = value_of(6, prim_.postcards.value_bytes);
@@ -317,16 +330,20 @@ TEST_F(PrimitiveWireFixture, TemplatePathsAreByteIdentical) {
   n = crafter_->craft_postcard_into(pc_tpl, prim_.postcards, sim_key(4), 2, pv,
                                     9, fast);
   fast.resize(n);
-  EXPECT_EQ(fast, crafter_->craft_postcard(pc_dst, src_, prim_.postcards,
+  EXPECT_EQ(fast, reference.craft_postcard(pc_dst, src_, prim_.postcards,
                                            sim_key(4), 2, pv, 9));
 }
 
 TEST_F(PrimitiveWireFixture, MisdirectedAtomicCannotTouchRingRegion) {
   // The ring MR withholds remote-atomic access: a FETCH_ADD aimed at the
   // ring's rkey must be refused without dirtying ring memory.
-  auto ring_as_atomic_target = collector_->remote_ring_info();
-  const auto frame = crafter_->craft_fetch_add(
-      ring_as_atomic_target, src_, ring_as_atomic_target.base_vaddr, 1, 0);
+  const auto ring_as_atomic_target = collector_->remote_ring_info();
+  const auto tpl = crafter_->make_atomic_template(
+      ring_as_atomic_target, src_, rdma::Opcode::kRcFetchAdd);
+  std::vector<std::byte> frame(tpl.frame_size());
+  ASSERT_EQ(crafter_->craft_fetch_add_into(
+                tpl, ring_as_atomic_target.base_vaddr, 1, 0, frame),
+            frame.size());
   collector_->rnic().process_frame(frame);
   EXPECT_EQ(collector_->ingest_counters().fetch_adds.load(), 0u);
   EXPECT_EQ(collector_->ring().entry_seq(0), 0u);  // slot 0 untouched

@@ -1,11 +1,13 @@
-// Tests for the host-side RoCEv2 report crafter: frame validity, slot
-// addressing, and the write/atomic operation encodings.
+// Tests for the RoCEv2 report crafter: frame validity, slot addressing, the
+// write/atomic operation encodings, and byte identity of template frames
+// with the field-by-field reference serializers.
 #include "core/report_crafter.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "check/reference_crafter.hpp"
 #include "rdma/roce.hpp"
 
 namespace dart::core {
@@ -45,12 +47,38 @@ std::span<const std::byte> bytes_of(const std::string& s) {
   return std::as_bytes(std::span{s.data(), s.size()});
 }
 
+// One frame crafted through a fresh template of the given kind.
+std::vector<std::byte> write_frame(const ReportCrafter& crafter,
+                                   const std::string& key,
+                                   std::span<const std::byte> value,
+                                   std::uint32_t n, std::uint32_t psn) {
+  const auto tpl = crafter.make_write_template(dst_info(), src_info());
+  std::vector<std::byte> frame(tpl.frame_size());
+  EXPECT_EQ(crafter.craft_write_into(tpl, bytes_of(key), value, n, psn, frame),
+            frame.size());
+  return frame;
+}
+
+std::vector<std::byte> atomic_frame(const ReportCrafter& crafter,
+                                    rdma::Opcode op, std::uint64_t vaddr,
+                                    std::uint64_t compare, std::uint64_t swap,
+                                    std::uint32_t psn) {
+  const auto tpl = crafter.make_atomic_template(dst_info(), src_info(), op);
+  std::vector<std::byte> frame(tpl.frame_size());
+  const std::size_t len =
+      op == rdma::Opcode::kRcFetchAdd
+          ? crafter.craft_fetch_add_into(tpl, vaddr, swap, psn, frame)
+          : crafter.craft_compare_swap_into(tpl, vaddr, compare, swap, psn,
+                                            frame);
+  EXPECT_EQ(len, frame.size());
+  return frame;
+}
+
 TEST(ReportCrafter, WriteFrameIsValidAndAddressed) {
   const ReportCrafter crafter(config());
   const std::string key = "flow-A";
   std::vector<std::byte> value(20, std::byte{0x42});
-  const auto frame =
-      crafter.craft_write(dst_info(), src_info(), bytes_of(key), value, 0, 5);
+  const auto frame = write_frame(crafter, key, value, 0, 5);
 
   EXPECT_TRUE(rdma::verify_frame_icrc(frame));
   const auto parsed = net::parse_udp_frame(frame);
@@ -83,8 +111,7 @@ TEST(ReportCrafter, PayloadPrefixIsKeyChecksum) {
   const ReportCrafter crafter(config());
   const std::string key = "flow-C";
   std::vector<std::byte> value(20, std::byte{0x01});
-  const auto frame =
-      crafter.craft_write(dst_info(), src_info(), bytes_of(key), value, 1, 0);
+  const auto frame = write_frame(crafter, key, value, 1, 0);
   const auto parsed = net::parse_udp_frame(frame);
   const auto req = rdma::parse_request(parsed->payload);
   ASSERT_TRUE(req.has_value());
@@ -110,8 +137,8 @@ TEST(ReportCrafter, CollectorOfMatchesFamily) {
 
 TEST(ReportCrafter, FetchAddFrame) {
   const ReportCrafter crafter(config());
-  const auto frame = crafter.craft_fetch_add(dst_info(), src_info(),
-                                             0x0000'1000'0000'0040ull, 7, 3);
+  const auto frame = atomic_frame(crafter, rdma::Opcode::kRcFetchAdd,
+                                  0x0000'1000'0000'0040ull, 0, 7, 3);
   EXPECT_TRUE(rdma::verify_frame_icrc(frame));
   const auto parsed = net::parse_udp_frame(frame);
   const auto req = rdma::parse_request(parsed->payload);
@@ -125,9 +152,9 @@ TEST(ReportCrafter, FetchAddFrame) {
 
 TEST(ReportCrafter, CompareSwapFrame) {
   const ReportCrafter crafter(config());
-  const auto frame = crafter.craft_compare_swap(
-      dst_info(), src_info(), 0x0000'1000'0000'0080ull, /*compare=*/0,
-      /*swap=*/0xAA, 9);
+  const auto frame =
+      atomic_frame(crafter, rdma::Opcode::kRcCompareSwap,
+                   0x0000'1000'0000'0080ull, /*compare=*/0, /*swap=*/0xAA, 9);
   EXPECT_TRUE(rdma::verify_frame_icrc(frame));
   const auto parsed = net::parse_udp_frame(frame);
   const auto req = rdma::parse_request(parsed->payload);
@@ -143,20 +170,21 @@ TEST(ReportCrafter, ReportSizeMatchesPaperFraming) {
   const ReportCrafter crafter(config());
   const std::string key = "flow-D";
   std::vector<std::byte> value(20, std::byte{0});
-  const auto frame =
-      crafter.craft_write(dst_info(), src_info(), bytes_of(key), value, 0, 0);
+  const auto frame = write_frame(crafter, key, value, 0, 0);
   EXPECT_EQ(frame.size(), 14u + 20 + 8 + 12 + 16 + 24 + 4);
 }
 
-// --- FrameTemplate fast path: byte identity with the reference crafters ------
+// --- FrameTemplate: byte identity with the reference serializers -----------
 //
-// The acceptance oracle for the zero-allocation path: for every operation
-// kind, craft_*_into through a template must produce frames byte-identical
-// to the allocating craft_* reference — including the iCRC / DTA trailer,
-// which the template path computes from a cached prefix CRC state.
+// For every operation kind, craft_*_into through a template must produce
+// frames byte-identical to check::ReferenceCrafter's field-by-field
+// serializers — including the iCRC / DTA trailer, which the template path
+// computes from a cached prefix CRC state. tests/check/test_prop_craft.cpp
+// runs the same comparison over random geometry and endpoints.
 
 TEST(FrameTemplate, WriteByteIdenticalAcrossKeysAndPsns) {
   const ReportCrafter crafter(config());
+  const check::ReferenceCrafter reference(config());
   const auto tpl = crafter.make_write_template(dst_info(), src_info());
   ASSERT_TRUE(tpl.valid());
   ASSERT_EQ(tpl.kind(), FrameTemplate::Kind::kWrite);
@@ -168,8 +196,8 @@ TEST(FrameTemplate, WriteByteIdenticalAcrossKeysAndPsns) {
     std::vector<std::byte> value(20, static_cast<std::byte>(0x10 + i));
     for (const std::uint32_t psn : psns) {
       for (std::uint32_t n = 0; n < 2; ++n) {
-        const auto ref = crafter.craft_write(dst_info(), src_info(),
-                                             bytes_of(key), value, n, psn);
+        const auto ref = reference.craft_write(dst_info(), src_info(),
+                                               bytes_of(key), value, n, psn);
         const std::size_t len =
             crafter.craft_write_into(tpl, bytes_of(key), value, n, psn, out);
         ASSERT_EQ(len, ref.size());
@@ -182,6 +210,7 @@ TEST(FrameTemplate, WriteByteIdenticalAcrossKeysAndPsns) {
 
 TEST(FrameTemplate, FetchAddByteIdentical) {
   const ReportCrafter crafter(config());
+  const check::ReferenceCrafter reference(config());
   const auto tpl = crafter.make_atomic_template(dst_info(), src_info(),
                                                 rdma::Opcode::kRcFetchAdd);
   ASSERT_TRUE(tpl.valid());
@@ -194,8 +223,8 @@ TEST(FrameTemplate, FetchAddByteIdentical) {
     for (std::uint64_t addend : {std::uint64_t{0}, std::uint64_t{7},
                                  std::uint64_t{0xFFFF'FFFF'FFFF'FFFFull}}) {
       for (const std::uint32_t psn : {0u, 3u, 0x00FF'FFFFu}) {
-        const auto ref =
-            crafter.craft_fetch_add(dst_info(), src_info(), vaddr, addend, psn);
+        const auto ref = reference.craft_fetch_add(dst_info(), src_info(),
+                                                   vaddr, addend, psn);
         const std::size_t len =
             crafter.craft_fetch_add_into(tpl, vaddr, addend, psn, out);
         ASSERT_EQ(len, ref.size());
@@ -207,6 +236,7 @@ TEST(FrameTemplate, FetchAddByteIdentical) {
 
 TEST(FrameTemplate, CompareSwapByteIdentical) {
   const ReportCrafter crafter(config());
+  const check::ReferenceCrafter reference(config());
   const auto tpl = crafter.make_atomic_template(dst_info(), src_info(),
                                                 rdma::Opcode::kRcCompareSwap);
   ASSERT_TRUE(tpl.valid());
@@ -217,7 +247,7 @@ TEST(FrameTemplate, CompareSwapByteIdentical) {
     for (const std::uint64_t swap :
          {std::uint64_t{0xAA}, std::uint64_t{0xDEAD'BEEF'CAFE'F00Dull}}) {
       for (const std::uint32_t psn : {9u, 0x00FF'FFFFu}) {
-        const auto ref = crafter.craft_compare_swap(
+        const auto ref = reference.craft_compare_swap(
             dst_info(), src_info(), 0x0000'1000'0000'0080ull, compare, swap,
             psn);
         const std::size_t len = crafter.craft_compare_swap_into(
@@ -231,6 +261,7 @@ TEST(FrameTemplate, CompareSwapByteIdentical) {
 
 TEST(FrameTemplate, MultiwriteByteIdentical) {
   const ReportCrafter crafter(config());
+  const check::ReferenceCrafter reference(config());
   const auto tpl = crafter.make_multiwrite_template(dst_info(), src_info());
   ASSERT_TRUE(tpl.valid());
   ASSERT_EQ(tpl.kind(), FrameTemplate::Kind::kMultiwrite);
@@ -240,8 +271,8 @@ TEST(FrameTemplate, MultiwriteByteIdentical) {
     const std::string key = "mw-" + std::to_string(i);
     std::vector<std::byte> value(20, static_cast<std::byte>(0x33 + i));
     for (const std::uint32_t psn : {0u, 77u, 0xFFFF'FFFFu}) {
-      const auto ref = crafter.craft_multiwrite(dst_info(), src_info(),
-                                                bytes_of(key), value, psn);
+      const auto ref = reference.craft_multiwrite(dst_info(), src_info(),
+                                                  bytes_of(key), value, psn);
       const std::size_t len =
           crafter.craft_multiwrite_into(tpl, bytes_of(key), value, psn, out);
       ASSERT_EQ(len, ref.size());

@@ -139,7 +139,9 @@ TEST(StoreBackendConformance, KvWirePathMatchesLocalApply) {
   Collector collector(dart, 0, endpoint());
   auto twin = make_backend(dart, StoreBackendConfig{});
   const ReportCrafter crafter(dart);
-  const auto info = collector.remote_info();
+  const auto tpl = crafter.make_write_template(collector.remote_info(),
+                                               reporter());
+  std::vector<std::byte> frame(tpl.frame_size());
 
   std::uint32_t psn = 0;
   for (std::uint64_t i = 0; i < 200; ++i) {
@@ -147,7 +149,8 @@ TEST(StoreBackendConformance, KvWirePathMatchesLocalApply) {
     const auto value = value_of(i * 31 + 7);
     // apply_report's reference semantics = all N slot copies written.
     for (std::uint32_t n = 0; n < dart.n_addresses; ++n) {
-      const auto frame = crafter.craft_write(info, reporter(), key, value, n, psn++);
+      ASSERT_EQ(crafter.craft_write_into(tpl, key, value, n, psn++, frame),
+                frame.size());
       ASSERT_TRUE(collector.rnic().process_frame(frame).has_value()) << i;
     }
     twin->apply_report(key, value);
@@ -164,15 +167,18 @@ TEST(StoreBackendConformance, SketchWirePathMatchesLocalApply) {
   Collector collector(dart, 0, endpoint(), sketch_choice());
   SketchBackend twin(cfg);
   const ReportCrafter crafter(dart);
-  const auto info = collector.remote_info();
+  const auto tpl = crafter.make_atomic_template(
+      collector.remote_info(), reporter(), rdma::Opcode::kRcFetchAdd);
+  std::vector<std::byte> frame(tpl.frame_size());
 
   std::uint32_t psn = 0;
   for (std::uint64_t i = 0; i < 300; ++i) {
     const auto key = sim_key(i % 40);
     // One report = one FETCH_ADD of 1 per row.
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      const auto frame =
-          crafter.craft_sketch_increment(info, reporter(), cfg, key, r, 1, psn++);
+      ASSERT_EQ(crafter.craft_sketch_increment_into(tpl, cfg, key, r, 1,
+                                                    psn++, frame),
+                frame.size());
       ASSERT_TRUE(collector.rnic().process_frame(frame).has_value()) << i;
     }
     twin.apply_report(key, {});

@@ -98,8 +98,10 @@ TEST(Fuzz, MutatedReportsAreRejectedOrSemanticallyIdentical) {
   core::Collector reference(cfg, 0, ep);
   const auto key = core::sim_key(77);
   std::vector<std::byte> value(8, std::byte{0x3A});
-  const auto pristine =
-      crafter.craft_write(reference.remote_info(), src, key, value, 0, 0);
+  const auto tpl = crafter.make_write_template(reference.remote_info(), src);
+  std::vector<std::byte> pristine(tpl.frame_size());
+  ASSERT_EQ(crafter.craft_write_into(tpl, key, value, 0, 0, pristine),
+            pristine.size());
   ASSERT_TRUE(reference.rnic().process_frame(pristine).has_value());
 
   Xoshiro256 rng(check::seed_from_env(0xF044, "Fuzz.MutatedReportsAreRejectedOrSemanticallyIdentical"));

@@ -221,8 +221,10 @@ TEST(MultiwriteEndToEnd, SwitchPipelineSingleFrameFillsAllSlots) {
   const auto kb = std::as_bytes(std::span{key.data(), key.size()});
   std::vector<std::byte> value(20, std::byte{0x3C});
 
-  const auto frame = crafter.craft_multiwrite(collector.remote_info(), src,
-                                              kb, value, /*psn=*/0);
+  const auto tpl = crafter.make_multiwrite_template(collector.remote_info(), src);
+  std::vector<std::byte> frame(tpl.frame_size());
+  ASSERT_EQ(crafter.craft_multiwrite_into(tpl, kb, value, /*psn=*/0, frame),
+            frame.size());
   ASSERT_TRUE(collector.rnic().process_frame(frame).has_value());
   EXPECT_EQ(collector.ingest_counters().writes, 4u);
 
@@ -252,12 +254,16 @@ TEST(MultiwriteEndToEnd, MatchesNSeparateRoceWrites) {
   const auto kb = std::as_bytes(std::span{key.data(), key.size()});
   std::vector<std::byte> value(20, std::byte{0x19});
 
+  const auto write_tpl = crafter.make_write_template(a.remote_info(), src);
+  std::vector<std::byte> frame(write_tpl.frame_size());
   for (std::uint32_t n = 0; n < 2; ++n) {
-    (void)a.rnic().process_frame(
-        crafter.craft_write(a.remote_info(), src, kb, value, n, n));
+    crafter.craft_write_into(write_tpl, kb, value, n, n, frame);
+    (void)a.rnic().process_frame(frame);
   }
-  (void)b.rnic().process_frame(
-      crafter.craft_multiwrite(b.remote_info(), src, kb, value, 0));
+  const auto mw_tpl = crafter.make_multiwrite_template(b.remote_info(), src);
+  frame.resize(mw_tpl.frame_size());
+  crafter.craft_multiwrite_into(mw_tpl, kb, value, 0, frame);
+  (void)b.rnic().process_frame(frame);
 
   EXPECT_EQ(0, std::memcmp(a.store().memory().data(),
                            b.store().memory().data(),

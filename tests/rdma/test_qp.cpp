@@ -142,14 +142,15 @@ TEST(QueuePair, GapCounterMatchesNetsimGroundTruth) {
                                  std::make_unique<net::BernoulliLoss>(0.25));
 
   const core::ReportCrafter crafter(config);
-  core::ReporterEndpoint src;
+  const auto tpl = crafter.make_write_template(dst, core::ReporterEndpoint{});
   const std::vector<std::byte> value(config.value_bytes, std::byte{0x42});
   constexpr std::uint32_t kReports = 400;
   for (std::uint32_t psn = 0; psn < kReports; ++psn) {
     std::vector<std::byte> key(8);
     std::memcpy(key.data(), &psn, 4);
-    sim.send(src_id, dst_id,
-             net::Packet(crafter.craft_write(dst, src, key, value, 0, psn)));
+    std::vector<std::byte> frame(tpl.frame_size());
+    crafter.craft_write_into(tpl, key, value, 0, psn, frame);
+    sim.send(src_id, dst_id, net::Packet(std::move(frame)));
   }
   sim.run();
 

@@ -1,11 +1,13 @@
 // Tests for the DART switch egress pipeline (§6): report crafting, PSN
-// registers, collector lookup, and agreement with the host-side crafter.
+// registers, collector lookup, and agreement with the field-by-field
+// reference serializers.
 #include "switchsim/dart_switch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "check/reference_crafter.hpp"
 #include "core/collector.hpp"
 #include "rdma/roce.hpp"
 
@@ -155,13 +157,13 @@ TEST(DartSwitch, RoutesKeysToHashedCollector) {
 }
 
 TEST(DartSwitch, MatchesHostSideCrafterBytes) {
-  // The P4-modeled pipeline and the host-side ReportCrafter must produce
-  // byte-identical frames for the same (key, value, n, psn).
+  // The P4-modeled pipeline and the field-by-field reference serializer
+  // must produce byte-identical frames for the same (key, value, n, psn).
   auto sc = switch_config(core::WriteMode::kAllSlots);
   DartSwitchPipeline sw(sc);
   sw.load_collector(fake_collector(0));
 
-  core::ReportCrafter crafter(sc.dart);
+  const check::ReferenceCrafter crafter(sc.dart);
   core::ReporterEndpoint src;
   src.mac = sc.mac;
   src.ip = sc.ip;
@@ -239,7 +241,7 @@ TEST(DartSwitchPrimitives, AppendsMatchHostCrafterAndBumpTheTail) {
   sw.load_primitives(rows.ring, rows.counters, rows.postcards);
   EXPECT_EQ(sw.primitive_collectors_loaded(), 1u);
 
-  core::ReportCrafter crafter(sc.dart);
+  const check::ReferenceCrafter crafter(sc.dart);
   core::ReporterEndpoint src;
   src.mac = sc.mac;
   src.ip = sc.ip;
@@ -267,7 +269,7 @@ TEST(DartSwitchPrimitives, IncrementAndPostcardMatchHostCrafter) {
   const auto rows = fake_primitive_rows(0);
   sw.load_primitives(rows.ring, rows.counters, rows.postcards);
 
-  core::ReportCrafter crafter(sc.dart);
+  const check::ReferenceCrafter crafter(sc.dart);
   core::ReporterEndpoint src;
   src.mac = sc.mac;
   src.ip = sc.ip;
