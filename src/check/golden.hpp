@@ -1,7 +1,8 @@
 // Golden wire traces and the seed regression corpus.
 //
 // A golden trace is a named list of wire artifacts (full Ethernet frames or
-// bare protocol payloads) produced by the REFERENCE crafters from fixed,
+// bare protocol payloads) produced by the reference serializers
+// (check::ReferenceCrafter, reference_crafter.hpp) from fixed,
 // documented parameters. The canonical traces are generated by code in this
 // module — one source of truth — and committed as hex fixtures under
 // tests/golden/. The replay test regenerates them and compares byte-for-byte

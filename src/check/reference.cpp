@@ -258,7 +258,7 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
         });
       } else {
         frame = reference_.craft_compare_swap(dst_, src_, vaddr, op.compare,
-                                            op.operand, psn);
+                                              op.operand, psn);
       }
       break;
     }
@@ -270,8 +270,8 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
                                             op.value, psn, frame);
         });
       } else {
-        frame = reference_.craft_append(ring_dst_, src_, primitives_.ring, seq,
-                                      op.value, psn);
+        frame = reference_.craft_append(ring_dst_, src_, primitives_.ring,
+                                        seq, op.value, psn);
       }
       break;
     }
@@ -283,8 +283,8 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
         });
       } else {
         frame = reference_.craft_key_increment(counter_dst_, src_,
-                                             primitives_.counters, key,
-                                             op.operand, psn);
+                                               primitives_.counters, key,
+                                               op.operand, psn);
       }
       break;
     case ReportOp::Kind::kPostcard:
@@ -295,8 +295,8 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
         });
       } else {
         frame = reference_.craft_postcard(postcard_dst_, src_,
-                                        primitives_.postcards, key, op.hop,
-                                        op.value, psn);
+                                          primitives_.postcards, key, op.hop,
+                                          op.value, psn);
       }
       break;
   }

@@ -221,7 +221,8 @@ TEST(MultiwriteEndToEnd, SwitchPipelineSingleFrameFillsAllSlots) {
   const auto kb = std::as_bytes(std::span{key.data(), key.size()});
   std::vector<std::byte> value(20, std::byte{0x3C});
 
-  const auto tpl = crafter.make_multiwrite_template(collector.remote_info(), src);
+  const auto tpl =
+      crafter.make_multiwrite_template(collector.remote_info(), src);
   std::vector<std::byte> frame(tpl.frame_size());
   ASSERT_EQ(crafter.craft_multiwrite_into(tpl, kb, value, /*psn=*/0, frame),
             frame.size());
