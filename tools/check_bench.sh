@@ -15,7 +15,7 @@ BUILD_DIR="${1:-build-bench}"
 tools/check_docs.sh
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j \
+cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target micro_datapath scaling_ingest_threads ablation_faults primitives \
   storage_backends scaling_query_clients scaling_collectors dart_metrics
 

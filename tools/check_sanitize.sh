@@ -27,7 +27,7 @@ run_asan() {
   local dir="build-asan${SUFFIX}"
   echo "== asan: AddressSanitizer+UBSan, full tier-1 suite (${dir}) =="
   cmake -B "$dir" -S . -DDART_SANITIZE=address >/dev/null
-  cmake --build "$dir" -j >/dev/null
+  cmake --build "$dir" -j "$(nproc)" >/dev/null
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --test-dir "$dir" --output-on-failure -L tier1 -j "$(nproc)"
@@ -48,7 +48,7 @@ run_tsan() {
   local dir="build-tsan${SUFFIX}"
   echo "== tsan: ThreadSanitizer, concurrency suites (${dir}) =="
   cmake -B "$dir" -S . -DDART_SANITIZE=thread >/dev/null
-  cmake --build "$dir" -j \
+  cmake --build "$dir" -j "$(nproc)" \
     --target test_ingest_pipeline test_spsc_ring test_epoch_rotation \
              test_qp test_prop_pipeline test_atomics_store \
              test_prop_backend test_result_cache test_gateway \

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DDART_SANITIZE=thread >/dev/null
-cmake --build "$BUILD_DIR" -j \
+cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target test_ingest_pipeline test_spsc_ring test_epoch_rotation test_qp
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
