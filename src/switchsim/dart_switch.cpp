@@ -94,10 +94,16 @@ void DartSwitchPipeline::restore_collector(const core::RemoteStoreInfo& info) {
   ++counters_.restores;
 }
 
+void DartSwitchPipeline::on_telemetry(
+    std::span<const std::byte> key, std::span<const std::byte> value,
+    std::vector<std::vector<std::byte>>& frames) {
+  emit_telemetry(key, value, /*precomputed_id=*/-1, frames);
+}
+
 std::vector<std::vector<std::byte>> DartSwitchPipeline::on_telemetry(
     std::span<const std::byte> key, std::span<const std::byte> value) {
   std::vector<std::vector<std::byte>> frames;
-  emit_telemetry(key, value, /*precomputed_id=*/-1, frames);
+  on_telemetry(key, value, frames);
   return frames;
 }
 

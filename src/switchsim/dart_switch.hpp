@@ -185,7 +185,13 @@ class DartSwitchPipeline {
   // --- data plane ----------------------------------------------------------
 
   // Processes one telemetry event (the mirror clone's extracted key+data).
-  // Returns the deparsed report frame(s), ready for the wire.
+  // Appends the deparsed report frame(s), ready for the wire, to `frames`;
+  // a caller that reuses one vector allocates only the frames themselves.
+  void on_telemetry(std::span<const std::byte> key,
+                    std::span<const std::byte> value,
+                    std::vector<std::vector<std::byte>>& frames);
+
+  // The same, returning the frame(s).
   [[nodiscard]] std::vector<std::vector<std::byte>> on_telemetry(
       std::span<const std::byte> key, std::span<const std::byte> value);
 

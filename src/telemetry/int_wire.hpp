@@ -14,7 +14,9 @@
 // The INT source (first switch) inserts shim+MD header, transits push their
 // metadata and decrement remaining-hop-count, the INT sink strips the INT
 // headers, restores the inner payload, and hands the accumulated stack to
-// the DART reporting pipeline (§3's in-band row of Table 1).
+// the DART reporting pipeline (§3's in-band row of Table 1). Every step
+// edits the frame in place, as a switch's parser and deparser do; the
+// payload-level twins the fabric used to run live in src/check/int_oracle.
 //
 // Telemetry-enabled packets are identified by a dedicated UDP destination
 // port carried in the shim's "next protocol" field so the sink can restore
@@ -24,7 +26,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "telemetry/int_path.hpp"
@@ -51,53 +52,64 @@ struct IntMdHeader {
   std::uint16_t domain_id = 0;
 };
 
-// Parsed view of an INT-carrying UDP payload.
-struct IntWirePacket {
-  IntMdHeader md;
-  std::uint16_t original_dst_port = 0;  // restored by the sink
-  std::vector<IntHopMetadata> hops;     // in path order (oldest first)
-  std::span<const std::byte> inner_payload;
-};
+// Source on a whole Ethernet/IPv4/UDP frame that net::parse_udp_frame
+// accepts, in place: inserts the INT shim (carrying the frame's destination
+// port), the MD header `md` and `hop`'s words right after the UDP header —
+// no words when the bitmap names no supported field, and only the M bit
+// when `md` leaves no hop — then rewrites the headers as build_udp_frame
+// would write them around the new payload: UDP destination port
+// kIntUdpPort, UDP length and checksum 0; IPv4 total length, identification
+// and flags 0, ECN 0, TTL - 1 (not below 0) and a fresh header checksum.
+// Bytes after the UDP length are dropped. Returns the new UDP payload.
+std::span<const std::byte> int_source_push_frame(net::Packet& frame,
+                                                 const IntMdHeader& md,
+                                                 const IntHopMetadata& hop);
 
-// Source: wraps `inner_payload` with INT shim + MD header (empty stack).
-// `original_dst_port` is preserved in the shim for sink restoration.
-[[nodiscard]] std::vector<std::byte> int_source_encap(
-    const IntMdHeader& md, std::uint16_t original_dst_port,
-    std::span<const std::byte> inner_payload);
-
-// Transit: pushes one hop's metadata onto the stack of an INT UDP payload
-// in place (the payload grows). Returns false — and sets the M bit — when
-// remaining-hop-count is exhausted (metadata not pushed), matching the spec.
-// A payload int_parse rejects is left untouched.
-bool int_transit_push(std::vector<std::byte>& udp_payload,
-                      const IntHopMetadata& hop);
-
-// Transit on a whole Ethernet/IPv4/UDP frame as net::build_udp_frame writes
-// it (net::parse_udp_frame must accept it), in place: pushes the hop into
-// the UDP payload as int_transit_push does, then writes the IPv4 total
-// length, TTL - 1 (not below 0), the header checksum and the UDP length —
-// the bytes rebuilding the frame around the new payload would give.
-// Returns the frame's new UDP payload.
+// Transit on a whole Ethernet/IPv4/UDP frame that net::parse_udp_frame
+// accepts, in place: pushes `hop` newest-first onto the stack and consumes
+// one remaining hop — or sets the M bit and pushes nothing when no hop
+// remains or the 8-bit stack word count has no room — then rewrites the
+// headers as int_source_push_frame does. A payload int_original_dst_port
+// rejects gets the header rewrite only. Returns the new UDP payload.
 std::span<const std::byte> int_transit_push_frame(net::Packet& frame,
                                                   const IntHopMetadata& hop);
 
-// The original destination port carried by an INT UDP payload that
-// int_parse accepts (nullopt otherwise). Decodes no hops, allocates nothing.
+// The original destination port carried by an INT UDP payload (nullopt when
+// the payload is malformed: not our shim type, a stack longer than the
+// payload, or a stack word count that is not a whole number of hops).
+// Decodes no hops, allocates nothing.
 [[nodiscard]] std::optional<std::uint16_t> int_original_dst_port(
     std::span<const std::byte> udp_payload) noexcept;
 
-// Sink/parser: decodes shim + MD + stack; hops are returned oldest-first
-// (path order). Returns nullopt on malformed input.
-[[nodiscard]] std::optional<IntWirePacket> int_parse(
-    std::span<const std::byte> udp_payload);
+// Sink, step 1: whether the sink switch with wire id `wire_id` still owes
+// the stack its own hop — the stack is empty, or its newest hop carries
+// another switch id (0 when the bitmap has no switch id); a sink that was
+// also the source has pushed already. nullopt when int_original_dst_port
+// rejects the payload: the sink leaves such a frame alone.
+[[nodiscard]] std::optional<bool> int_sink_owes_hop(
+    std::span<const std::byte> udp_payload, std::uint32_t wire_id) noexcept;
 
-// Sink: strips INT headers, returning the restored inner payload bytes.
-[[nodiscard]] std::optional<std::vector<std::byte>> int_sink_decap(
-    std::span<const std::byte> udp_payload);
+// What int_sink_pop_frame took off a frame.
+struct IntSinkResult {
+  std::size_t overhead_bytes = 0;     // shim + MD header + stack, own hop too
+  std::uint32_t max_queue_depth = 0;  // deepest queue any hop carried
+  bool value_written = false;         // the path fit the DART value
+};
 
-// Bytes of INT overhead currently carried by an INT UDP payload.
-[[nodiscard]] std::optional<std::size_t> int_overhead_bytes(
-    std::span<const std::byte> udp_payload);
+// Sink, step 2, on a whole frame whose UDP payload int_sink_owes_hop
+// accepted, in place. `own_hop` (the sink's hop, when it owes one) joins the
+// stack as a transit push would put it there: only while a hop remains and
+// the word count has room, and decoded through the bitmap's words, so the
+// fields it omits read 0. The hops are visited oldest first; the switch ids
+// of the first `max_hops` go big-endian into `value`, zero padded (the
+// IntStack(kSwitchId, max_hops).encode_value layout), unless they do not fit.
+// The inner payload then moves up behind the UDP header and the headers are
+// rewritten as int_source_push_frame does, with the original destination
+// port. Allocates nothing.
+IntSinkResult int_sink_pop_frame(net::Packet& frame,
+                                 const std::optional<IntHopMetadata>& own_hop,
+                                 std::uint32_t max_hops,
+                                 std::span<std::byte> value);
 
 // Words each hop pushes for an instruction bitmap (1 word per set field we
 // support: switch id, queue depth, hop latency).

@@ -36,23 +36,14 @@ std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
   return xxhash64(key, 0xECB9);
 }
 
-// Rebuilds an Ethernet+IPv4+UDP frame around a new UDP payload / dst port,
-// keeping addressing intact (what a switch's deparser does after INT edits).
-std::vector<std::byte> rebuild_frame(const net::ParsedUdpFrame& frame,
-                                     std::span<const std::byte> new_payload,
-                                     std::uint16_t new_dst_port) {
-  net::UdpFrameSpec spec;
-  spec.src_mac = frame.eth.src;
-  spec.dst_mac = frame.eth.dst;
-  spec.src_ip = frame.ip.src;
-  spec.dst_ip = frame.ip.dst;
-  spec.src_port = frame.udp.src_port;
-  spec.dst_port = new_dst_port;
-  spec.ttl = static_cast<std::uint8_t>(frame.ip.ttl > 0 ? frame.ip.ttl - 1
-                                                        : 0);
-  spec.dscp = frame.ip.dscp;
-  spec.protocol = frame.ip.protocol;
-  return net::build_udp_frame(spec, new_payload);
+// The destination IPv4 address of a frame net::parse_udp_frame accepts.
+[[nodiscard]] net::Ipv4Addr ipv4_dst_of(std::span<const std::byte> frame) {
+  constexpr std::size_t kDst = net::kEthernetHeaderLen + 16;
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v = (v << 8) | static_cast<std::uint8_t>(frame[kDst + i]);
+  }
+  return net::Ipv4Addr{v};
 }
 
 }  // namespace
@@ -142,6 +133,10 @@ class ForwardingSwitch final : public net::Node {
     sc.write_mode = config.switch_write_mode;
     pipeline_ = std::make_unique<switchsim::DartSwitchPipeline>(sc);
     for (const auto& info : collectors) pipeline_->load_collector(info);
+    source_md_.remaining_hops = config.int_max_hops;
+    source_md_.instructions = config.int_instructions;
+    source_md_.hop_words = int_hop_words(config.int_instructions);
+    report_value_.resize(config.dart.value_bytes);
     if (config.postcards) {
       auto det_cfg = config.postcard_detector;
       det_cfg.seed ^= switch_id;  // independent tag hashing per switch
@@ -163,12 +158,18 @@ class ForwardingSwitch final : public net::Node {
   }
 
  private:
-  [[nodiscard]] std::uint32_t host_id_of(net::Ipv4Addr ip) const noexcept {
-    // 10.pod.edge.(2+idx) — inverse of FatTree::host_ip.
+  // 10.pod.edge.(2+idx) — inverse of FatTree::host_ip; nullopt when no
+  // host of this fabric has the address.
+  [[nodiscard]] std::optional<std::uint32_t> host_id_of(
+      net::Ipv4Addr ip) const noexcept {
     const std::uint32_t pod = (ip.value >> 16) & 0xFF;
     const std::uint32_t edge = (ip.value >> 8) & 0xFF;
     const std::uint32_t idx = (ip.value & 0xFF) - 2;
     const std::uint32_t half = topo_->k() / 2;
+    if ((ip.value >> 24) != 10 || pod >= topo_->k() || edge >= half ||
+        idx >= half) {
+      return std::nullopt;
+    }
     return pod * half * half + edge * half + idx;
   }
 
@@ -187,13 +188,17 @@ class ForwardingSwitch final : public net::Node {
     return hop;
   }
 
-  // Next-hop switch for a transit packet (hash-based ECMP, mirrors
+  // Next-hop switch toward host `dst_host` (hash-based ECMP, mirrors
   // FatTree::path); only valid when this switch is not the destination edge.
-  [[nodiscard]] std::uint32_t next_hop_switch(
-      const net::ParsedUdpFrame& parsed) const;
+  [[nodiscard]] std::uint32_t next_hop_switch(const net::ParsedUdpFrame& parsed,
+                                              std::uint32_t dst_host) const;
 
   void deliver_reports(std::span<const std::byte> key,
                        std::span<const std::byte> value);
+
+  // INT sink: strips the stack off `packet` in place and reports the path.
+  void sink(net::Packet& packet, const net::ParsedUdpFrame& parsed,
+            std::uint64_t now_ns, net::NodeId egress);
 
   // Postcard mode: report this switch's hop record for the packet's flow,
   // gated by the change detector on the observed queue depth.
@@ -207,24 +212,28 @@ class ForwardingSwitch final : public net::Node {
   Xoshiro256 rng_;
   std::unique_ptr<switchsim::DartSwitchPipeline> pipeline_;
   std::unique_ptr<ChangeDetector> postcard_detector_;
+  IntMdHeader source_md_;                   // what this switch encapsulates with
+  std::vector<std::byte> report_value_;     // the sink's DART value
+  std::vector<std::vector<std::byte>> report_frames_;  // reused per event
   Stats stats_;
 };
 
 void ForwardingSwitch::deliver_reports(std::span<const std::byte> key,
                                        std::span<const std::byte> value) {
-  for (auto& frame : pipeline_->on_telemetry(key, value)) {
+  report_frames_.clear();
+  pipeline_->on_telemetry(key, value, report_frames_);
+  for (auto& frame : report_frames_) {
     ++stats_.reports_emitted;
-    const auto parsed = net::parse_udp_frame(frame);
-    assert(parsed.has_value());
-    // Monitoring underlay: a direct link to each collector.
-    for (std::uint32_t c = 0; c < directory_->collector_nodes.size(); ++c) {
-      if (net::Ipv4Addr::from_octets(10, 0, 100,
-                                     static_cast<std::uint8_t>(c & 0xFF)) ==
-          parsed->ip.dst) {
-        sim_->send(self_, directory_->collector_nodes[c],
-                   net::Packet(std::move(frame)));
-        break;
-      }
+    // The template-built frame's destination is at its fixed offset.
+    assert(net::parse_udp_frame(frame).has_value() &&
+           net::parse_udp_frame(frame)->ip.dst == ipv4_dst_of(frame));
+    // Monitoring underlay: a direct link to each collector 10.0.100.c.
+    const net::Ipv4Addr dst = ipv4_dst_of(frame);
+    const std::uint32_t c = dst.value & 0xFF;
+    if ((dst.value >> 8) == 0x0A0064 &&
+        c < directory_->collector_nodes.size()) {
+      sim_->send(self_, directory_->collector_nodes[c],
+                 net::Packet(std::move(frame)));
     }
   }
 }
@@ -248,40 +257,35 @@ void ForwardingSwitch::maybe_emit_postcard(const net::ParsedUdpFrame& parsed,
 
 void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
   auto parsed = net::parse_udp_frame(packet.bytes());
-  if (!parsed) {
+  const auto dst_host = parsed ? host_id_of(parsed->ip.dst) : std::nullopt;
+  if (!dst_host) {
+    // Unparsable, or addressed to no host of this fabric.
     ++stats_.routing_drops;
     return;
   }
   ++stats_.forwarded;
 
   const bool is_int = parsed->udp.dst_port == kIntUdpPort;
-  const std::uint32_t dst_host = host_id_of(parsed->ip.dst);
   const bool i_am_dst_edge = self_ref_.tier == switchsim::SwitchTier::kEdge &&
-                             topo_->host_edge(dst_host) == self_ref_.id;
+                             topo_->host_edge(*dst_host) == self_ref_.id;
 
   // The packet's egress (needed up front: hop metadata samples the real
   // queue depth of the link it is about to cross).
   const net::NodeId egress =
-      i_am_dst_edge ? directory_->host_nodes[dst_host]
-                    : directory_->switch_nodes[next_hop_switch(*parsed)];
+      i_am_dst_edge
+          ? directory_->host_nodes[*dst_host]
+          : directory_->switch_nodes[next_hop_switch(*parsed, *dst_host)];
 
-  // --- INT source: first edge switch on the path encapsulates -------------
+  // --- INT: the source encapsulates, transits push, all in the frame ------
+  // Only the port and payload views are refreshed: what follows (postcards,
+  // the sink, forwarding) reads addresses, ports and payload, never lengths
+  // or TTL.
   if (!is_int && self_ref_.tier == switchsim::SwitchTier::kEdge) {
-    IntMdHeader md;
-    md.remaining_hops = config_.int_max_hops;
-    md.instructions = config_.int_instructions;
-    md.hop_words = int_hop_words(md.instructions);
-    auto payload = int_source_encap(md, parsed->udp.dst_port, parsed->payload);
-    (void)int_transit_push(payload, my_hop_metadata(now_ns, egress));
+    parsed->payload = int_source_push_frame(packet, source_md_,
+                                            my_hop_metadata(now_ns, egress));
+    parsed->udp.dst_port = kIntUdpPort;
     ++stats_.int_sources;
-    auto frame = rebuild_frame(*parsed, payload, kIntUdpPort);
-    packet.assign(std::move(frame));
-    parsed = net::parse_udp_frame(packet.bytes());
-    assert(parsed.has_value());
   } else if (is_int && !i_am_dst_edge) {
-    // --- INT transit: push my metadata into the frame in place -------------
-    // Only the payload view is refreshed: what follows (postcards,
-    // forwarding) reads addresses, ports and payload, never lengths or TTL.
     parsed->payload =
         int_transit_push_frame(packet, my_hop_metadata(now_ns, egress));
   }
@@ -291,59 +295,38 @@ void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
     maybe_emit_postcard(*parsed, my_hop_metadata(now_ns, egress));
   }
 
-  // --- INT sink: strip, deliver, report ------------------------------------
-  if (i_am_dst_edge) {
-    std::vector<std::byte> payload(parsed->payload.begin(),
-                                   parsed->payload.end());
-    if (parsed->udp.dst_port == kIntUdpPort) {
-      // If we are also a transit (not the source of this packet), our hop
-      // was pushed above only when !i_am_dst_edge; push it now unless we
-      // were the source (source already pushed).
-      const auto pre = int_parse(payload);
-      if (pre && (pre->hops.empty() ||
-                  pre->hops.back().switch_id != self_ref_.id + 1)) {
-        (void)int_transit_push(payload, my_hop_metadata(now_ns, egress));
-      }
-      const auto pkt = int_parse(payload);
-      if (pkt) {
-        ++stats_.int_sinks;
-        stats_.int_overhead_bytes += payload.size() - pkt->inner_payload.size();
-        for (const auto& hop : pkt->hops) {
-          stats_.max_reported_queue_depth =
-              std::max(stats_.max_reported_queue_depth, hop.queue_depth);
-        }
-
-        // DART report: key = original 5-tuple, value = path switch ids.
-        const FiveTuple tuple = original_tuple(*parsed);
-        IntStack stack(IntInstruction::kSwitchId, config_.int_max_hops);
-        for (const auto& hop : pkt->hops) (void)stack.push_hop(hop);
-        if (const auto value = stack.encode_value(config_.dart.value_bytes)) {
-          const auto key = tuple.key_bytes();
-          deliver_reports(key, *value);
-        }
-
-        // Restore and deliver the inner frame to the host.
-        const auto inner = int_sink_decap(payload);
-        auto frame = rebuild_frame(*parsed, *inner, pkt->original_dst_port);
-        sim_->send(self_, directory_->host_nodes[dst_host],
-                   net::Packet(std::move(frame)));
-        return;
-      }
-    }
-    // Non-INT packet for a local host: plain delivery.
-    sim_->send(self_, directory_->host_nodes[dst_host], std::move(packet));
-    return;
+  if (i_am_dst_edge && parsed->udp.dst_port == kIntUdpPort) {
+    sink(packet, *parsed, now_ns, egress);
   }
-
-  // --- Forwarding (hash-based ECMP, mirrors FatTree::path) -----------------
+  // Forwarding (hash-based ECMP, mirrors FatTree::path), or delivery of the
+  // inner frame — or of a frame without INT — to the local host.
   sim_->send(self_, egress, std::move(packet));
 }
 
+void ForwardingSwitch::sink(net::Packet& packet,
+                            const net::ParsedUdpFrame& parsed,
+                            std::uint64_t now_ns, net::NodeId egress) {
+  const auto owes_hop = int_sink_owes_hop(parsed.payload, self_ref_.id + 1);
+  if (!owes_hop) return;  // malformed INT: delivered as it came
+  std::optional<IntHopMetadata> own_hop;
+  if (*owes_hop) own_hop = my_hop_metadata(now_ns, egress);
+  // The report key, read before the frame loses its INT headers.
+  const auto key = original_tuple(parsed).key_bytes();
+
+  const IntSinkResult sunk = int_sink_pop_frame(
+      packet, own_hop, config_.int_max_hops, report_value_);
+  ++stats_.int_sinks;
+  stats_.int_overhead_bytes += sunk.overhead_bytes;
+  stats_.max_reported_queue_depth =
+      std::max(stats_.max_reported_queue_depth, sunk.max_queue_depth);
+  // DART report: key = original 5-tuple, value = path switch ids.
+  if (sunk.value_written) deliver_reports(key, report_value_);
+}
+
 std::uint32_t ForwardingSwitch::next_hop_switch(
-    const net::ParsedUdpFrame& parsed) const {
+    const net::ParsedUdpFrame& parsed, std::uint32_t dst_host) const {
   const std::uint32_t half = topo_->k() / 2;
   const std::uint64_t hash = flow_hash_of(parsed);
-  const std::uint32_t dst_host = host_id_of(parsed.ip.dst);
   const std::uint32_t dst_pod = topo_->host_pod(dst_host);
   const auto agg_choice = static_cast<std::uint32_t>(hash % half);
 
@@ -479,7 +462,7 @@ void WireFabric::register_metrics(obs::MetricRegistry& registry,
                         }
                         return n;
                       },
-                      "unparsable frames dropped by switches");
+                      "frames switches dropped: unparsable, or for no host");
   registry.counter_fn(prefix + "_hosts_packets_sent_total",
                       [this] {
                         std::uint64_t n = 0;
@@ -750,6 +733,7 @@ WireFabricStats WireFabric::stats() const {
     s.int_sinks += sw->stats().int_sinks;
     s.int_overhead_bytes += sw->stats().int_overhead_bytes;
     s.reports_emitted += sw->stats().reports_emitted;
+    s.routing_drops += sw->stats().routing_drops;
     s.max_reported_queue_depth = std::max(
         s.max_reported_queue_depth, sw->stats().max_reported_queue_depth);
     s.postcard_observations += sw->stats().postcard_observations;

@@ -66,6 +66,7 @@ struct WireFabricStats {
   std::uint64_t int_sinks = 0;            // decapsulations at egress edges
   std::uint64_t int_overhead_bytes = 0;   // INT bytes removed at sinks
   std::uint64_t reports_emitted = 0;      // RoCEv2 frames toward collectors
+  std::uint64_t routing_drops = 0;        // unparsable, or for no fabric host
   std::uint32_t max_reported_queue_depth = 0;  // deepest queue seen by INT
   std::uint64_t postcard_observations = 0;  // per-switch per-packet checks
   std::uint64_t postcard_reports = 0;       // postcards that fired

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "core/oracle.hpp"
 #include "core/query_protocol.hpp"
 #include "core/report_crafter.hpp"
+#include "net/headers.hpp"
 #include "rdma/multiwrite.hpp"
 #include "rdma/rnic.hpp"
 #include "rdma/roce.hpp"
@@ -43,7 +45,8 @@ TEST(Fuzz, ParsersSurviveRandomBlobs) {
     (void)net::parse_udp_frame(blob);
     (void)rdma::parse_request(blob);
     (void)rdma::parse_multiwrite(blob);
-    (void)telemetry::int_parse(blob);
+    (void)telemetry::int_original_dst_port(blob);
+    (void)telemetry::int_sink_owes_hop(blob, 1);
     (void)core::parse_query_request(blob);
     (void)core::parse_query_response(blob);
   }
@@ -171,19 +174,29 @@ TEST(Fuzz, QueryEngineSurvivesGarbageStoreMemory) {
 }
 
 TEST(Fuzz, IntTransitOnMutatedPacketsNeverCorruptsMemory) {
-  // INT transit push on random/mutated payloads: returns false or grows the
-  // stack coherently; int_parse of the result never reads out of bounds.
+  // INT transit push on frames around random/mutated payloads: leaves the
+  // payload alone or grows the stack coherently; the sink then pops what
+  // it accepts without reading out of bounds.
   Xoshiro256 rng(check::seed_from_env(0xF066, "Fuzz.IntTransitOnMutatedPacketsNeverCorruptsMemory"));
+  std::vector<std::byte> value(20);
   for (int i = 0; i < 10'000; ++i) {
-    auto blob = random_blob(rng, 128);
-    const bool pushed = telemetry::int_transit_push(
-        blob, {.switch_id = static_cast<std::uint32_t>(rng() & 0xFFFF)});
-    const auto parsed = telemetry::int_parse(blob);
-    if (pushed) {
+    net::UdpFrameSpec spec;
+    spec.dst_port = telemetry::kIntUdpPort;
+    net::Packet frame(net::build_udp_frame(spec, random_blob(rng, 128)));
+    const std::size_t size = frame.size();
+    const auto payload = telemetry::int_transit_push_frame(
+        frame, {.switch_id = static_cast<std::uint32_t>(rng() & 0xFFFF)});
+    if (frame.size() > size) {
       // A successful push implies the blob was a well-formed INT payload;
-      // it must still parse afterwards.
-      ASSERT_TRUE(parsed.has_value());
+      // it must still be one afterwards.
+      ASSERT_TRUE(telemetry::int_original_dst_port(payload).has_value());
     }
+    const auto owes = telemetry::int_sink_owes_hop(payload, 1);
+    if (!owes) continue;
+    std::optional<telemetry::IntHopMetadata> own;
+    if (*owes) own = telemetry::IntHopMetadata{.switch_id = 1};
+    (void)telemetry::int_sink_pop_frame(frame, own, rng.below(9), value);
+    ASSERT_TRUE(net::parse_udp_frame(frame.bytes()).has_value());
   }
   SUCCEED();
 }

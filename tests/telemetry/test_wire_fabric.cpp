@@ -171,6 +171,29 @@ TEST(WireFabric, HostOfIpInverse) {
       fabric.host_of_ip(net::Ipv4Addr::from_octets(192, 168, 1, 1)).has_value());
 }
 
+// A destination no host of the fabric has is dropped and counted at the
+// first switch instead of being routed: in a k=4 tree, 10.9.9.9 names pod
+// 9 and 10.4.0.2 pod 4, past the directory of switches and hosts.
+TEST(WireFabric, FrameForNoHostIsDroppedAndCounted) {
+  WireFabric fabric(config());
+  const auto& topo = fabric.topology();
+  for (const auto dst : {net::Ipv4Addr::from_octets(10, 9, 9, 9),
+                         net::Ipv4Addr::from_octets(10, 4, 0, 2)}) {
+    auto flow = make_flow(topo, 0, 15);
+    flow.dst_ip = dst;
+    fabric.send_flow(flow, 0, 1);
+  }
+  fabric.run();
+  const auto s = fabric.stats();
+  EXPECT_EQ(s.host_packets_sent, 2u);
+  EXPECT_EQ(s.routing_drops, 2u);
+  EXPECT_EQ(s.host_packets_received, 0u);
+  for (std::uint32_t h = 0; h < topo.n_hosts(); ++h) {
+    EXPECT_EQ(fabric.host_received(h), 0u) << "host " << h;
+  }
+  EXPECT_EQ(s.reports_emitted, 0u);
+}
+
 TEST(WireFabric, ShapedLinksReportRealQueueDepths) {
   // Bandwidth-shaped links + a traffic burst between two hosts: INT's
   // queue-depth metadata must observe the real egress backlog.
