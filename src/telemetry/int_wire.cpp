@@ -132,7 +132,8 @@ std::size_t begin_push(std::span<std::byte> payload, const IntHopMetadata& hop,
   const std::uint8_t hop_words = int_hop_words(instructions);
   if (hop_words == 0) return 0;
   if (!has_room(payload)) {
-    // Hop limit exceeded: set the M bit, push nothing (spec behaviour).
+    // Hop limit exceeded (or the word count is full): set the M bit, push
+    // nothing (spec behaviour).
     payload[4] = static_cast<std::byte>(
         static_cast<std::uint8_t>(payload[4]) | 0x1);
     return 0;

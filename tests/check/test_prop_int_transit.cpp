@@ -131,6 +131,19 @@ std::vector<std::byte> gen_frame(Rng& rng, std::span<const std::byte> payload) {
   return net::build_udp_frame(spec, payload);
 }
 
+// Where two byte strings first differ, for a failure message.
+std::string first_difference(std::span<const std::byte> got,
+                             std::span<const std::byte> expected) {
+  std::size_t off = 0;
+  while (off < got.size() && off < expected.size() &&
+         got[off] == expected[off]) {
+    ++off;
+  }
+  return "in-place frame (" + std::to_string(got.size()) +
+         " B) differs from the oracle's (" + std::to_string(expected.size()) +
+         " B) at byte " + std::to_string(off);
+}
+
 std::optional<Failure> transit_property(Rng& rng, Coverage& cov) {
   const auto payload = gen_payload(rng);
   const auto frame = gen_frame(rng, payload);
@@ -143,16 +156,7 @@ std::optional<Failure> transit_property(Rng& rng, Coverage& cov) {
 
   const auto got = packet.bytes();
   if (!std::ranges::equal(got, expected)) {
-    std::size_t off = 0;
-    while (off < got.size() && off < expected.size() &&
-           got[off] == expected[off]) {
-      ++off;
-    }
-    return Failure{"in-place frame (" + std::to_string(got.size()) +
-                       " B) differs from the oracle's (" +
-                       std::to_string(expected.size()) + " B) at byte " +
-                       std::to_string(off),
-                   frame};
+    return Failure{first_difference(got, expected), frame};
   }
   const auto reparsed = net::parse_udp_frame(expected);
   if (!std::ranges::equal(view, reparsed->payload)) {
@@ -213,19 +217,6 @@ TEST(PropIntTransit, InPlaceFrameIsByteIdenticalToRebuildOracle) {
 }
 
 // --- source and sink ----------------------------------------------------------
-
-// Where two byte strings first differ, for a failure message.
-std::string first_difference(std::span<const std::byte> got,
-                             std::span<const std::byte> expected) {
-  std::size_t off = 0;
-  while (off < got.size() && off < expected.size() &&
-         got[off] == expected[off]) {
-    ++off;
-  }
-  return "in-place frame (" + std::to_string(got.size()) +
-         " B) differs from the oracle's (" + std::to_string(expected.size()) +
-         " B) at byte " + std::to_string(off);
-}
 
 struct EdgeFrame {
   std::vector<std::byte> bytes;
