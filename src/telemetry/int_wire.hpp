@@ -16,7 +16,7 @@
 // headers, restores the inner payload, and hands the accumulated stack to
 // the DART reporting pipeline (§3's in-band row of Table 1). Every step
 // edits the frame in place, as a switch's parser and deparser do; the
-// payload-level twins the fabric used to run live in src/check/int_oracle.
+// payload-level reference the tests diff against is src/check/int_oracle.
 //
 // Telemetry-enabled packets are identified by a dedicated UDP destination
 // port carried in the shim's "next protocol" field so the sink can restore
