@@ -146,9 +146,7 @@ void Simulator::schedule(std::uint64_t at_ns, std::function<void()> fn) {
 
 void Simulator::push_event(std::uint64_t at_ns, EventKind kind, NodeId target,
                            std::uint32_t slot) {
-  events_.push_back(
-      Event{std::max(at_ns, now_ns_), seq_++, target, slot, kind});
-  std::push_heap(events_.begin(), events_.end(), EventLater{});
+  events_.push(Event{std::max(at_ns, now_ns_), seq_++, target, slot, kind});
 }
 
 void Simulator::retire_departed(Link& link) noexcept {
@@ -192,10 +190,8 @@ void Simulator::retire_through(std::uint64_t until_ns) noexcept {
 }
 
 void Simulator::run(std::uint64_t until_ns) {
-  while (!events_.empty() && events_.front().at_ns <= until_ns) {
-    std::pop_heap(events_.begin(), events_.end(), EventLater{});
-    const Event ev = events_.back();
-    events_.pop_back();
+  Event ev;
+  while (events_.pop_through(until_ns, ev)) {
     now_ns_ = ev.at_ns;
     last_seq_ = ev.seq;
     if (ev.kind == EventKind::kDeliver) {

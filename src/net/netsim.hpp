@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "net/event_queue.hpp"
 #include "net/packet.hpp"
 
 namespace dart::net {
@@ -230,22 +231,6 @@ class Simulator {
     std::size_t head = 0;
   };
 
-  // One entry of the time-ordered event heap. Trivially copyable: the packet
-  // or callback it fires waits in a slot pool and is moved out when it runs.
-  enum class EventKind : std::uint8_t { kDeliver, kCallback };
-  struct Event {
-    std::uint64_t at_ns;
-    std::uint64_t seq;    // tie-break for deterministic ordering
-    NodeId target;        // kDeliver: the receiving node
-    std::uint32_t slot;   // index into packets_ or callbacks_
-    EventKind kind;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.at_ns != b.at_ns ? a.at_ns > b.at_ns : a.seq > b.seq;
-    }
-  };
-
   // Values parked until their event fires; freed slots are reused.
   template <typename T>
   class SlotPool {
@@ -295,7 +280,7 @@ class Simulator {
   std::vector<OutEdge> out_edges_;  // by link
   std::vector<Link> links_;
   std::vector<LinkId> pending_links_;  // links that may hold departures
-  std::vector<Event> events_;          // binary min-heap on (at_ns, seq)
+  EventQueue events_;
   SlotPool<Packet> packets_;
   SlotPool<std::function<void()>> callbacks_;
   std::uint64_t now_ns_ = 0;

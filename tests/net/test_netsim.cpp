@@ -123,6 +123,38 @@ TEST(Simulator, RunUntilStopsEarly) {
   EXPECT_EQ(fired, 2);
 }
 
+// run(until) looks at the event due next without committing to it: events
+// scheduled after it returns may still run first, a past time clamped to
+// the clock.
+TEST(Simulator, RunUntilLeavesLaterEventsBehindNewOnes) {
+  Simulator sim(1);
+  std::vector<std::uint64_t> fired;
+  const auto record = [&] { fired.push_back(sim.now_ns()); };
+  sim.schedule(100, record);
+  sim.schedule(1000, record);
+  sim.run(/*until_ns=*/500);
+  ASSERT_EQ(fired, (std::vector<std::uint64_t>{100}));
+  sim.schedule(600, record);
+  sim.schedule(0, record);  // clamped to the clock, 100
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{100, 100, 600, 1000}));
+}
+
+// Two callbacks for one instant, the first scheduled before the event queue
+// regroups the pending events at the 600 ns pop, the second after it: they
+// fire in the order they were scheduled.
+TEST(Simulator, SameInstantFiresInScheduleOrderAcrossRegrouping) {
+  Simulator sim(1);
+  std::vector<int> order;
+  sim.schedule(1000, [&] { order.push_back(1); });
+  sim.schedule(600, [&] {
+    order.push_back(0);
+    sim.schedule(1000, [&] { order.push_back(2); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(Simulator, BernoulliLossDropsApproximatelyP) {
   Simulator sim(7);
   SinkNode src;
