@@ -206,7 +206,7 @@ class Simulator {
   static constexpr LinkId kNoLink = 0xFFFF'FFFFu;
 
   // A shaped link's egress departure: the packet leaves the queue once fully
-  // serialized. Not a heap entry, but ordered like an event by its
+  // serialized. Not a queued event, but ordered like one by its
   // (at_ns, seq) key: it takes effect once an event with a later key runs,
   // or when run(until) returns past it.
   struct Departure {
