@@ -69,7 +69,10 @@ LinkId Simulator::find_link(NodeId from, NodeId to) const noexcept {
 
 void Simulator::send(NodeId from, NodeId to, Packet packet) {
   const LinkId id = find_link(from, to);
-  assert(id != kNoLink && "send over a link that does not exist");
+  if (id == kNoLink) {
+    ++unrouted_;
+    return;
+  }
   Link* link = &links_[id];
   if (!link->up) {
     // Partitioned link: silently eats packets, like a dead cable. Counted

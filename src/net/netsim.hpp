@@ -162,7 +162,8 @@ class Simulator {
   void connect(NodeId a, NodeId b, std::uint64_t latency_ns,
                double loss_rate = 0.0);
 
-  // Send a packet from `from` over the link to `to` (must exist).
+  // Send a packet from `from` over the link to `to`. Without such a link
+  // the packet is lost and counted in total_unrouted().
   void send(NodeId from, NodeId to, Packet packet);
 
   // Schedule a callback at absolute simulated time.
@@ -199,6 +200,11 @@ class Simulator {
   [[nodiscard]] std::uint64_t total_queue_drops() const noexcept;
   [[nodiscard]] std::uint64_t total_partitioned() const noexcept;
   [[nodiscard]] std::uint64_t total_corrupted() const noexcept;
+  // Packets whose sender had no link to the receiver (a reply addressed to
+  // the sender itself or to a node it is not connected to).
+  [[nodiscard]] std::uint64_t total_unrouted() const noexcept {
+    return unrouted_;
+  }
   [[nodiscard]] std::size_t n_links() const noexcept { return links_.size(); }
   [[nodiscard]] Xoshiro256& rng() noexcept { return rng_; }
 
@@ -286,6 +292,7 @@ class Simulator {
   std::uint64_t now_ns_ = 0;
   std::uint64_t last_seq_ = 0;  // seq of the event that ran last
   std::uint64_t seq_ = 0;
+  std::uint64_t unrouted_ = 0;  // sends with no link to the receiver
   Xoshiro256 rng_;
 };
 

@@ -150,6 +150,9 @@ inline void register_simulator(MetricRegistry& reg, const std::string& prefix,
   reg.counter_fn(prefix + "_net_corrupted_total",
                  [&sim] { return sim.total_corrupted(); },
                  "packets delivered with injected byte damage");
+  reg.counter_fn(prefix + "_net_unrouted_total",
+                 [&sim] { return sim.total_unrouted(); },
+                 "packets sent where the sender has no link to the receiver");
 }
 
 inline void register_link_set(MetricRegistry& reg, const std::string& prefix,

@@ -194,6 +194,46 @@ TEST(WireFabric, FrameForNoHostIsDroppedAndCounted) {
   EXPECT_EQ(s.reports_emitted, 0u);
 }
 
+// A query whose source address names the gateway itself, or a peer service
+// the answering service has no link to, gets a reply the simulator cannot
+// route: it is dropped and counted instead of sent over a missing link.
+TEST(WireFabric, ReplyWithNoLinkIsDroppedAndCounted) {
+  auto cfg = config();
+  cfg.n_collectors = 2;
+  WireFabric fabric(cfg);
+  auto& gateway = fabric.attach_gateway();
+  auto& sim = fabric.simulator();
+  const auto query = [](net::Ipv4Addr src, net::Ipv4Addr dst) {
+    core::QueryRequest request;
+    request.request_id = 7;
+    request.key = std::vector<std::byte>(8, std::byte{0x42});
+    net::UdpFrameSpec spec;
+    spec.src_ip = src;
+    spec.dst_ip = dst;
+    spec.src_port = core::kDartQueryUdpPort;
+    spec.dst_port = core::kDartQueryUdpPort;
+    return net::Packet(
+        net::build_udp_frame(spec, core::encode_query_request(request)));
+  };
+  sim.schedule(0, [&] {
+    gateway.receive(query(net::Ipv4Addr::from_octets(10, 9, 2, 254),
+                          net::Ipv4Addr::from_octets(10, 9, 2, 0)),
+                    sim.now_ns());
+    fabric.query_service(0)->receive(
+        query(net::Ipv4Addr::from_octets(10, 0, 200, 1),
+              net::Ipv4Addr::from_octets(10, 0, 200, 0)),
+        sim.now_ns());
+  });
+  fabric.run();
+  EXPECT_EQ(sim.total_unrouted(), 2u);
+  EXPECT_EQ(gateway.upstream_sent(), 1u);  // the gateway's read went through
+  EXPECT_EQ(gateway.inflight(), 0u);
+  EXPECT_EQ(sim.total_dropped(), 0u);
+  EXPECT_EQ(sim.total_queue_drops(), 0u);
+  EXPECT_EQ(sim.total_partitioned(), 0u);
+  EXPECT_EQ(fabric.stats().routing_drops, 0u);
+}
+
 TEST(WireFabric, ShapedLinksReportRealQueueDepths) {
   // Bandwidth-shaped links + a traffic burst between two hosts: INT's
   // queue-depth metadata must observe the real egress backlog.
