@@ -1,12 +1,13 @@
 // The simulator's pending-event queue (net::Simulator's private core; the
 // event-queue property drives it directly).
 //
-// Events leave in (at_ns, seq) order, event for event. A push may not be
-// earlier than the event popped last: the simulator clamps every event time
-// to its clock, which never runs behind that event. That makes the queue
-// monotone, so it is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990)
-// rather than a binary one: a push appends to a bucket with no sift, and a
-// pop regroups one bucket at a time.
+// Events leave in (at_ns, seq) order, event for event, given two conditions
+// the simulator meets: pushes come in seq order, and no push is earlier than
+// the event popped last (push_event clamps every time to the clock, which
+// never runs behind that event). The second makes the queue monotone, so it
+// is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) rather than a
+// binary one: a push appends to a bucket with no sift, and a pop regroups
+// one bucket at a time.
 //
 // Buckets are keyed to `last_`, the time of the event popped last. Bucket 0
 // holds the events at `last_`, read first-in first-out through `head_`;

@@ -193,7 +193,7 @@ void Simulator::retire_through(std::uint64_t until_ns) noexcept {
 }
 
 void Simulator::run(std::uint64_t until_ns) {
-  Event ev;
+  Event ev{};
   while (events_.pop_through(until_ns, ev)) {
     now_ns_ = ev.at_ns;
     last_seq_ = ev.seq;

@@ -292,7 +292,7 @@ class Simulator {
   std::uint64_t now_ns_ = 0;
   std::uint64_t last_seq_ = 0;  // seq of the event that ran last
   std::uint64_t seq_ = 0;
-  std::uint64_t unrouted_ = 0;  // sends with no link to the receiver
+  std::uint64_t unrouted_ = 0;
   Xoshiro256 rng_;
 };
 

@@ -1,5 +1,5 @@
 // The simulator's event queue (src/net/event_queue.hpp) against a binary
-// heap on (at_ns, seq), the order the simulator's events have always run in.
+// heap on (at_ns, seq), the order in which the simulator runs its events.
 //
 // Each case is a random interleaving of three operations, played on the
 // queue and on the reference heap alike:
@@ -195,8 +195,8 @@ std::optional<Failure> event_queue_property(Rng& rng, Coverage& cov) {
 
   const std::size_t n_ops = 1 + rng.below(300);
   for (std::size_t op = 0; op < n_ops; ++op) {
-    const auto kind = rng.below(8);
-    if (kind < 4) {
+    const auto choice = rng.below(8);
+    if (choice < 4) {
       for (std::uint64_t n = 1 + rng.below(8); n > 0; --n) {
         const std::uint64_t at =
             std::max(gen_push_time(rng, now, ref, cov), now);
@@ -210,7 +210,7 @@ std::optional<Failure> event_queue_property(Rng& rng, Coverage& cov) {
         queue.push(ev);
         ref.push(ev);
       }
-    } else if (kind < 7) {
+    } else if (choice < 7) {
       const std::uint64_t until = gen_until(rng, now, ref, cov);
       for (std::uint64_t n = 1 + rng.below(16); n > 0; --n) {
         bool popped = false;
