@@ -203,6 +203,8 @@ TEST(WireFabric, ReplyWithNoLinkIsDroppedAndCounted) {
   WireFabric fabric(cfg);
   auto& gateway = fabric.attach_gateway();
   auto& sim = fabric.simulator();
+  obs::MetricRegistry registry;
+  fabric.register_metrics(registry);
   const auto query = [](net::Ipv4Addr src, net::Ipv4Addr dst) {
     core::QueryRequest request;
     request.request_id = 7;
@@ -226,6 +228,7 @@ TEST(WireFabric, ReplyWithNoLinkIsDroppedAndCounted) {
   });
   fabric.run();
   EXPECT_EQ(sim.total_unrouted(), 2u);
+  EXPECT_EQ(registry.snapshot().value_of("dart_net_unrouted_total"), 2.0);
   EXPECT_EQ(gateway.upstream_sent(), 1u);  // the gateway's read went through
   EXPECT_EQ(gateway.inflight(), 0u);
   EXPECT_EQ(sim.total_dropped(), 0u);
