@@ -20,6 +20,7 @@
 // only ever holds the minimum time.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -68,7 +69,7 @@ class EventQueue {
     const int b = std::countr_zero(occupied_) + 1;
     std::vector<Event>& from = buckets_[b];
     std::uint64_t next = from.front().at_ns;
-    for (const Event& ev : from) next = ev.at_ns < next ? ev.at_ns : next;
+    for (const Event& ev : from) next = std::min(next, ev.at_ns);
     if (next > until_ns) return false;
     last_ = next;
     occupied_ &= occupied_ - 1;  // bucket b; every event moves lower
