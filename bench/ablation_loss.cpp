@@ -1,23 +1,39 @@
 // Ablation: report loss robustness (§3.1's motivation for N-way redundancy
-// without switch-side retransmission state). Runs the full INT fabric —
-// switch pipelines, RoCEv2 frames, Bernoulli report loss, simulated RNICs —
-// across loss rates and redundancy levels.
+// without switch-side retransmission state). Runs the INT fat tree of
+// WireFabric — packet-forwarding switches, RoCEv2 report frames, Bernoulli
+// loss per frame on every switch→collector monitoring link, simulated
+// RNICs — across loss rates and redundancy levels.
+//
+// After each run the fabric's ledger must balance, or the bench exits
+// non-zero naming the equality that failed: every report frame emitted was
+// delivered or dropped on the monitoring underlay; every delivered frame
+// was executed by an RNIC, so no PSN or validation reject passes for loss;
+// and every data packet reached its host.
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "telemetry/int_fabric.hpp"
+#include "telemetry/wire_fabric.hpp"
+#include "telemetry/workload.hpp"
 
 namespace {
 
 using namespace dart;
 using namespace dart::telemetry;
 
+void require(bool ok, const char* equality, double loss, std::uint32_t n) {
+  if (ok) return;
+  std::fprintf(stderr, "ablation_loss: ledger broken at loss=%g N=%u: %s\n",
+               loss, n, equality);
+  std::exit(1);
+}
+
 double run(double loss, std::uint32_t n, std::uint64_t flows) {
-  IntFabricConfig cfg;
+  WireFabricConfig cfg;
   cfg.fat_tree_k = 8;
   cfg.dart.n_slots = 1 << 17;
   cfg.dart.n_addresses = n;
@@ -27,17 +43,42 @@ double run(double loss, std::uint32_t n, std::uint64_t flows) {
   cfg.switch_write_mode = core::WriteMode::kAllSlots;
   cfg.report_loss_rate = loss;
   cfg.seed = 23;
-  IntFabric fabric(cfg);
+  WireFabric fabric(cfg);
   FlowGenerator gen(fabric.topology(), 31);
 
-  std::vector<FlowEndpoints> flows_traced;
-  flows_traced.reserve(flows);
+  std::vector<FlowEndpoints> flows_sent;
+  flows_sent.reserve(flows);
   for (std::uint64_t i = 0; i < flows; ++i) {
-    flows_traced.push_back(gen.next_flow());
-    (void)fabric.trace_flow(flows_traced.back());
+    flows_sent.push_back(gen.next_flow());
+    fabric.send_flow(flows_sent.back().tuple, flows_sent.back().src_host);
   }
+  fabric.run();
+
+  std::uint64_t delivered = 0, dropped = 0;
+  for (std::uint32_t s = 0; s < fabric.n_switches(); ++s) {
+    for (std::uint32_t c = 0; c < fabric.n_collectors(); ++c) {
+      const auto& ls =
+          fabric.simulator().link_stats(fabric.monitoring_link(s, c));
+      delivered += ls.delivered;
+      dropped += ls.dropped;
+    }
+  }
+  std::uint64_t frames = 0, executed = 0;
+  for (std::uint32_t c = 0; c < fabric.n_collectors(); ++c) {
+    const auto& rc = fabric.cluster().collector(c).ingest_counters();
+    frames += rc.frames;
+    executed += rc.executed;
+  }
+  const auto st = fabric.stats();
+  require(st.reports_emitted == delivered + dropped,
+          "report frames emitted = monitoring delivered + dropped", loss, n);
+  require(frames == executed && executed == delivered,
+          "RNIC frames = executed = monitoring delivered", loss, n);
+  require(st.host_packets_received == flows,
+          "data packets received = flows sent", loss, n);
+
   std::uint64_t found = 0;
-  for (const auto& f : flows_traced) {
+  for (const auto& f : flows_sent) {
     if (fabric.query_path(f.tuple).has_value()) ++found;
   }
   return static_cast<double>(found) / static_cast<double>(flows);

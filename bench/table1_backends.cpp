@@ -15,7 +15,6 @@
 #include "core/cluster.hpp"
 #include "switchsim/dart_switch.hpp"
 #include "telemetry/backends.hpp"
-#include "telemetry/int_fabric.hpp"
 #include "telemetry/workload.hpp"
 
 namespace {

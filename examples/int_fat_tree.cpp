@@ -1,13 +1,14 @@
 // INT path tracing on a fat tree — the paper's running example (§1, §5.2).
 //
-// A k=8 fat tree carries flows between random hosts; in-band INT accumulates
-// per-hop switch ids in the packet; the egress edge switch (INT sink)
-// reports each flow's path to a DART collector cluster over RoCEv2, with 1%
-// report loss injected. An operator then investigates: which path did flow X
-// take, and which flows crossed a given core switch (found by querying flows
-// and filtering — DART is a key-value store, so inverse queries enumerate
-// candidate keys, as the paper's operators do with flow lists from other
-// sources).
+// A k=8 fat tree of packet-forwarding switches (WireFabric) carries one
+// packet of each flow between random hosts; in-band INT accumulates per-hop
+// switch ids in the packet; the egress edge switch (INT sink) reports each
+// flow's path to a DART collector cluster as RoCEv2 frames over the
+// monitoring underlay, which drops 1% of them. An operator then
+// investigates: which path did flow X take, and which flows crossed a given
+// core switch (found by querying flows and filtering — DART is a key-value
+// store, so inverse queries enumerate candidate keys, as the paper's
+// operators do with flow lists from other sources).
 //
 // Build & run:  ./build/examples/int_fat_tree
 #include <cstdio>
@@ -15,41 +16,52 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/int_fabric.hpp"
+#include "telemetry/wire_fabric.hpp"
+#include "telemetry/workload.hpp"
 
 int main() {
   using namespace dart;
   using namespace dart::telemetry;
 
-  IntFabricConfig config;
+  WireFabricConfig config;
   config.fat_tree_k = 8;              // 80 switches, 128 hosts
   config.dart.n_slots = 1 << 16;
   config.dart.n_addresses = 2;
   config.dart.value_bytes = 20;       // 5 hops × 32-bit switch ids
   config.n_collectors = 4;            // sharded collection
-  config.report_loss_rate = 0.01;     // 1% report loss in the fabric
+  config.report_loss_rate = 0.01;     // 1% of report frames dropped
   config.switch_write_mode = core::WriteMode::kAllSlots;
   config.seed = 2026;
 
-  IntFabric fabric(config);
+  WireFabric fabric(config);
   const auto& topo = fabric.topology();
   std::printf("Fat tree: k=%u, %u switches, %u hosts; %u collectors\n",
               topo.k(), topo.n_switches(), topo.n_hosts(),
               fabric.cluster().size());
 
-  // Trace 20K flows.
+  // Trace 20K flows: one packet each, then drain the fabric.
   FlowGenerator gen(topo, 7);
   std::vector<FlowEndpoints> flows;
   for (int i = 0; i < 20'000; ++i) {
     flows.push_back(gen.next_flow());
-    (void)fabric.trace_flow(flows.back());
+    fabric.send_flow(flows.back().tuple, flows.back().src_host);
   }
+  fabric.run();
+  // Reports lost: frames the monitoring links (switch → collector) dropped.
+  std::uint64_t lost = 0;
+  for (std::uint32_t s = 0; s < fabric.n_switches(); ++s) {
+    for (std::uint32_t c = 0; c < fabric.n_collectors(); ++c) {
+      const auto link = fabric.monitoring_link(s, c);
+      lost += fabric.simulator().link_stats(link).dropped;
+    }
+  }
+  const auto stats = fabric.stats();
   std::printf("Traced %llu flows; %llu reports emitted, %llu lost (%.2f%%)\n",
-              static_cast<unsigned long long>(fabric.stats().flows_traced),
-              static_cast<unsigned long long>(fabric.stats().reports_emitted),
-              static_cast<unsigned long long>(fabric.stats().reports_lost),
-              100.0 * static_cast<double>(fabric.stats().reports_lost) /
-                  static_cast<double>(fabric.stats().reports_emitted));
+              static_cast<unsigned long long>(stats.int_sinks),
+              static_cast<unsigned long long>(stats.reports_emitted),
+              static_cast<unsigned long long>(lost),
+              100.0 * static_cast<double>(lost) /
+                  static_cast<double>(stats.reports_emitted));
 
   // Operator query #1: the path of one specific flow.
   const auto& probe = flows[12'345];

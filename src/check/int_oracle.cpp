@@ -256,7 +256,7 @@ ReferenceIntSink reference_int_sink(std::span<const std::byte> frame,
   }
 
   // DART report value: the path's switch ids.
-  telemetry::IntStack stack(telemetry::IntInstruction::kSwitchId, max_hops);
+  telemetry::IntStack stack(max_hops);
   for (const auto& hop : pkt->hops) (void)stack.push_hop(hop);
   out.value = stack.encode_value(value_bytes);
 

@@ -81,6 +81,17 @@ net::Ipv4Addr FatTree::host_ip(std::uint32_t host) const noexcept {
                                     static_cast<std::uint8_t>(2 + idx));
 }
 
+std::optional<std::uint32_t> FatTree::host_of_ip(
+    net::Ipv4Addr ip) const noexcept {
+  const std::uint32_t pod = (ip.value >> 16) & 0xFF;
+  const std::uint32_t edge = (ip.value >> 8) & 0xFF;
+  const std::uint32_t idx = (ip.value & 0xFF) - 2;  // .0 and .1 wrap past half_
+  if ((ip.value >> 24) != 10 || pod >= k_ || edge >= half_ || idx >= half_) {
+    return std::nullopt;
+  }
+  return pod * half_ * half_ + edge * half_ + idx;
+}
+
 std::vector<std::uint32_t> FatTree::path(std::uint32_t src_host,
                                          std::uint32_t dst_host,
                                          std::uint64_t flow_hash) const {

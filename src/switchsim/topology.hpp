@@ -5,11 +5,13 @@
 // 160-bit value (5 hops × 32-bit switch id) comes from.
 //
 // The topology computes deterministic ECMP paths from a flow hash, exposes
-// host addressing, and reports its own dimensions; the INT fabric in
-// src/telemetry walks these paths to synthesize hop-by-hop telemetry.
+// host addressing, and reports its own dimensions. WireFabric's switches
+// (src/telemetry) forward hop by hop with the same ECMP choices, so tests
+// and benches use path() as the ground truth of where a flow went.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +62,9 @@ class FatTree {
   [[nodiscard]] std::uint32_t host_edge(std::uint32_t host) const noexcept;
   // 10.pod.edge.(2+index) — the classic fat-tree addressing scheme.
   [[nodiscard]] net::Ipv4Addr host_ip(std::uint32_t host) const noexcept;
+  // Inverse of host_ip; nullopt when no host of this tree has the address.
+  [[nodiscard]] std::optional<std::uint32_t> host_of_ip(
+      net::Ipv4Addr ip) const noexcept;
 
   // --- routing -------------------------------------------------------------
 

@@ -31,18 +31,11 @@ void put_be32(std::vector<std::byte>& out, std::uint32_t v) {
 
 std::optional<std::vector<std::byte>> IntStack::encode_value(
     std::uint32_t value_bytes) const {
-  const std::uint32_t per_hop = int_bytes_per_hop(instruction_);
-  if (hops_.size() * per_hop > value_bytes) return std::nullopt;
+  if (hops_.size() * 4 > value_bytes) return std::nullopt;
 
   std::vector<std::byte> out;
   out.reserve(value_bytes);
-  for (const auto& hop : hops_) {
-    put_be32(out, hop.switch_id);
-    if (instruction_ == IntInstruction::kSwitchIdQueueLatency) {
-      put_be32(out, hop.queue_depth);
-      put_be32(out, hop.hop_latency_ns);
-    }
-  }
+  for (const auto& hop : hops_) put_be32(out, hop.switch_id);
   out.resize(value_bytes, std::byte{0});
   return out;
 }

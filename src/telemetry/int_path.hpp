@@ -21,30 +21,18 @@
 namespace dart::telemetry {
 
 // Per-hop INT metadata. The paper's Fig. 4 carries just the switch id
-// (32 bits/hop); richer modes also carry queue depth + latency.
+// (32 bits/hop); the wire-level INT headers (int_wire.hpp) and postcards
+// also carry queue depth + latency.
 struct IntHopMetadata {
   std::uint32_t switch_id = 0;
   std::uint32_t queue_depth = 0;
   std::uint32_t hop_latency_ns = 0;
 };
 
-// What each hop contributes to the packet (and to the DART value).
-enum class IntInstruction : std::uint8_t {
-  kSwitchId,                   // 4 B/hop — Fig. 4's configuration
-  kSwitchIdQueueLatency,       // 12 B/hop
-};
-
-[[nodiscard]] constexpr std::uint32_t int_bytes_per_hop(
-    IntInstruction ins) noexcept {
-  return ins == IntInstruction::kSwitchId ? 4 : 12;
-}
-
 // The packet-carried metadata stack.
 class IntStack {
  public:
-  explicit IntStack(IntInstruction instruction = IntInstruction::kSwitchId,
-                    std::uint32_t max_hops = 16)
-      : instruction_(instruction), max_hops_(max_hops) {}
+  explicit IntStack(std::uint32_t max_hops = 16) : max_hops_(max_hops) {}
 
   // Returns false (and drops the metadata) once max_hops is reached — the
   // INT spec's hop-limit behaviour.
@@ -56,22 +44,19 @@ class IntStack {
   [[nodiscard]] std::uint32_t hop_count() const noexcept {
     return static_cast<std::uint32_t>(hops_.size());
   }
-  [[nodiscard]] IntInstruction instruction() const noexcept {
-    return instruction_;
-  }
 
-  // Fixed-width DART value: hop data packed big-endian in path order, zero
-  // padded to `value_bytes`. Fails (nullopt) if the stack doesn't fit.
+  // Fixed-width DART value: the hops' switch ids packed big-endian in path
+  // order (4 B/hop, Fig. 4), zero padded to `value_bytes`. Fails (nullopt)
+  // if the stack doesn't fit.
   [[nodiscard]] std::optional<std::vector<std::byte>> encode_value(
       std::uint32_t value_bytes) const;
 
-  // Inverse of encode_value for kSwitchId: extracts leading non-zero switch
-  // ids. `expected_hops` bounds the scan (0 = until a zero id).
+  // Inverse of encode_value: extracts leading non-zero switch ids.
+  // `expected_hops` bounds the scan (0 = until a zero id).
   [[nodiscard]] static std::vector<std::uint32_t> decode_switch_ids(
       std::span<const std::byte> value, std::uint32_t expected_hops = 0);
 
  private:
-  IntInstruction instruction_;
   std::uint32_t max_hops_;
   std::vector<IntHopMetadata> hops_;
 };

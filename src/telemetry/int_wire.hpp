@@ -1,8 +1,8 @@
 // Wire-level In-band Network Telemetry headers (INT-MD over UDP).
 //
-// The abstract IntFabric (int_fabric.hpp) models INT as metadata attached to
-// flows; this module puts INT *on the wire*, closely following the P4.org
-// INT specification's INT-MD mode [15]:
+// This module puts INT *on the wire* for WireFabric's switches
+// (wire_fabric.hpp), closely following the P4.org INT specification's
+// INT-MD mode [15]:
 //
 //   UDP payload = [ INT shim ][ INT-MD header ][ metadata stack ][ inner payload ]
 //
@@ -102,7 +102,7 @@ struct IntSinkResult {
 // the word count has room, and decoded through the bitmap's words, so the
 // fields it omits read 0. The hops are visited oldest first; the switch ids
 // of the first `max_hops` go big-endian into `value`, zero padded (the
-// IntStack(kSwitchId, max_hops).encode_value layout), unless they do not fit.
+// IntStack(max_hops).encode_value layout), unless they do not fit.
 // The inner payload then moves up behind the UDP header and the headers are
 // rewritten as int_source_push_frame does, with the original destination
 // port. Allocates nothing.

@@ -158,21 +158,6 @@ class ForwardingSwitch final : public net::Node {
   }
 
  private:
-  // 10.pod.edge.(2+idx) — inverse of FatTree::host_ip; nullopt when no
-  // host of this fabric has the address.
-  [[nodiscard]] std::optional<std::uint32_t> host_id_of(
-      net::Ipv4Addr ip) const noexcept {
-    const std::uint32_t pod = (ip.value >> 16) & 0xFF;
-    const std::uint32_t edge = (ip.value >> 8) & 0xFF;
-    const std::uint32_t idx = (ip.value & 0xFF) - 2;
-    const std::uint32_t half = topo_->k() / 2;
-    if ((ip.value >> 24) != 10 || pod >= topo_->k() || edge >= half ||
-        idx >= half) {
-      return std::nullopt;
-    }
-    return pod * half * half + edge * half + idx;
-  }
-
   // Hop metadata sampled against the packet's actual egress link: the
   // queue depth is the link's real instantaneous egress queue (non-zero
   // only when links are bandwidth-shaped), as INT-MD specifies.
@@ -257,7 +242,8 @@ void ForwardingSwitch::maybe_emit_postcard(const net::ParsedUdpFrame& parsed,
 
 void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
   auto parsed = net::parse_udp_frame(packet.bytes());
-  const auto dst_host = parsed ? host_id_of(parsed->ip.dst) : std::nullopt;
+  const auto dst_host =
+      parsed ? topo_->host_of_ip(parsed->ip.dst) : std::nullopt;
   if (!dst_host) {
     // Unparsable, or addressed to no host of this fabric.
     ++stats_.routing_drops;
@@ -265,9 +251,16 @@ void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
   }
   ++stats_.forwarded;
 
+  // The INT source is the edge of the packet's source host, whatever port
+  // the host chose; past it, every frame of the fabric carries INT.
+  const bool is_edge = self_ref_.tier == switchsim::SwitchTier::kEdge;
+  const auto src_host =
+      is_edge ? topo_->host_of_ip(parsed->ip.src) : std::nullopt;
+  const bool i_am_src_edge =
+      src_host && topo_->host_edge(*src_host) == self_ref_.id;
   const bool is_int = parsed->udp.dst_port == kIntUdpPort;
-  const bool i_am_dst_edge = self_ref_.tier == switchsim::SwitchTier::kEdge &&
-                             topo_->host_edge(*dst_host) == self_ref_.id;
+  const bool i_am_dst_edge =
+      is_edge && topo_->host_edge(*dst_host) == self_ref_.id;
 
   // The packet's egress (needed up front: hop metadata samples the real
   // queue depth of the link it is about to cross).
@@ -280,7 +273,7 @@ void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
   // Only the port and payload views are refreshed: what follows (postcards,
   // the sink, forwarding) reads addresses, ports and payload, never lengths
   // or TTL.
-  if (!is_int && self_ref_.tier == switchsim::SwitchTier::kEdge) {
+  if (i_am_src_edge) {
     parsed->payload = int_source_push_frame(packet, source_md_,
                                             my_hop_metadata(now_ns, egress));
     parsed->udp.dst_port = kIntUdpPort;
@@ -712,13 +705,6 @@ std::optional<IntHopMetadata> WireFabric::query_postcard(
 
 std::uint64_t WireFabric::host_received(std::uint32_t host) const {
   return hosts_[host]->received();
-}
-
-std::optional<std::uint32_t> WireFabric::host_of_ip(net::Ipv4Addr ip) const {
-  for (std::uint32_t h = 0; h < topo_.n_hosts(); ++h) {
-    if (topo_.host_ip(h) == ip) return h;
-  }
-  return std::nullopt;
 }
 
 WireFabricStats WireFabric::stats() const {

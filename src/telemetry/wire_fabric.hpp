@@ -1,8 +1,8 @@
 // WireFabric — a fully packet-forwarding fat-tree datacenter with wire-level
 // INT and DART collection, built on the event-driven network simulator.
 //
-// Where IntFabric (int_fabric.hpp) walks abstract paths, WireFabric moves
-// real Ethernet/IPv4/UDP frames hop by hop:
+// It models the paper's running example, INT path tracing on a fat tree
+// (§1, §5.2), with real Ethernet/IPv4/UDP frames moving hop by hop:
 //
 //   host ──frame──▶ edge (INT source: encap + push hop)
 //                    │ ECMP uplink
@@ -116,9 +116,6 @@ class WireFabric {
   [[nodiscard]] std::uint64_t host_received(std::uint32_t host) const;
 
   [[nodiscard]] WireFabricStats stats() const;
-
-  // Host id owning an IP, if any (used by tests).
-  [[nodiscard]] std::optional<std::uint32_t> host_of_ip(net::Ipv4Addr ip) const;
 
   // Completes Fig. 2 inside this one simulator: brings up a QueryServiceNode
   // per collector and an OperatorClient, all joined to the management

@@ -10,7 +10,6 @@
 #include "core/oracle.hpp"
 #include "switchsim/dart_switch.hpp"
 #include "telemetry/backends.hpp"
-#include "telemetry/int_fabric.hpp"
 
 namespace dart {
 namespace {

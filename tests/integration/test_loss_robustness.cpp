@@ -1,18 +1,20 @@
 // Integration: report loss between switches and collectors (§3's robustness
-// motivation) — DART's N-way redundancy versus loss rate, over the real
-// frame path, plus bursty-loss behaviour on the simulated fabric.
+// motivation) — DART's N-way redundancy versus loss rate on WireFabric, where
+// each report frame is dropped on its switch→collector monitoring link, plus
+// bursty-loss behaviour of the simulator's loss models.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "net/netsim.hpp"
-#include "telemetry/int_fabric.hpp"
+#include "telemetry/wire_fabric.hpp"
+#include "telemetry/workload.hpp"
 
 namespace dart::telemetry {
 namespace {
 
-IntFabricConfig fabric_config(double loss, std::uint32_t n_addresses) {
-  IntFabricConfig cfg;
+WireFabricConfig fabric_config(double loss, std::uint32_t n_addresses) {
+  WireFabricConfig cfg;
   cfg.fat_tree_k = 4;
   cfg.dart.n_slots = 1 << 15;
   cfg.dart.n_addresses = n_addresses;
@@ -25,13 +27,14 @@ IntFabricConfig fabric_config(double loss, std::uint32_t n_addresses) {
 }
 
 double queryability_under_loss(double loss, std::uint32_t n, int flows) {
-  IntFabric fabric(fabric_config(loss, n));
+  WireFabric fabric(fabric_config(loss, n));
   FlowGenerator gen(fabric.topology(), 21);
   std::vector<FlowEndpoints> traced;
   for (int i = 0; i < flows; ++i) {
     traced.push_back(gen.next_flow());
-    (void)fabric.trace_flow(traced.back());
+    fabric.send_flow(traced.back().tuple, traced.back().src_host);
   }
+  fabric.run();
   int found = 0;
   for (const auto& f : traced) {
     if (fabric.query_path(f.tuple).has_value()) ++found;

@@ -67,6 +67,23 @@ TEST(FatTree, HostAddressingScheme) {
   // Host 4: pod 1 begins.
   EXPECT_EQ(t.host_pod(4), 1u);
   EXPECT_EQ(t.host_ip(4).str(), "10.1.0.2");
+
+  // host_of_ip inverts host_ip for every host of a k=4 and a k=8 tree...
+  for (const FatTree& tree : {t, FatTree(8)}) {
+    for (std::uint32_t h = 0; h < tree.n_hosts(); ++h) {
+      EXPECT_EQ(tree.host_of_ip(tree.host_ip(h)), h) << "k=" << tree.k();
+    }
+  }
+  // ...and names no host for an address outside the scheme: another
+  // prefix, pod = k, edge = k/2, index = k/2, or last octet 0 or 1.
+  for (const auto ip : {net::Ipv4Addr::from_octets(192, 168, 1, 1),
+                        net::Ipv4Addr::from_octets(10, 4, 0, 2),
+                        net::Ipv4Addr::from_octets(10, 0, 2, 2),
+                        net::Ipv4Addr::from_octets(10, 0, 0, 4),
+                        net::Ipv4Addr::from_octets(10, 0, 0, 0),
+                        net::Ipv4Addr::from_octets(10, 0, 0, 1)}) {
+    EXPECT_FALSE(t.host_of_ip(ip).has_value()) << ip.str();
+  }
 }
 
 TEST(FatTree, HostIpsUnique) {

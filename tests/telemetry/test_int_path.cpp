@@ -7,7 +7,7 @@ namespace dart::telemetry {
 namespace {
 
 TEST(IntStack, PushAndHopLimit) {
-  IntStack stack(IntInstruction::kSwitchId, /*max_hops=*/3);
+  IntStack stack(/*max_hops=*/3);
   EXPECT_TRUE(stack.push_hop({.switch_id = 1}));
   EXPECT_TRUE(stack.push_hop({.switch_id = 2}));
   EXPECT_TRUE(stack.push_hop({.switch_id = 3}));
@@ -66,22 +66,6 @@ TEST(IntStack, DecodeWithExpectedHops) {
   const auto value = stack.encode_value(20);
   EXPECT_EQ(IntStack::decode_switch_ids(*value, 2).size(), 2u);
   EXPECT_EQ(IntStack::decode_switch_ids(*value, 5).size(), 5u);  // padding kept
-}
-
-TEST(IntStack, RichInstructionEncodesThreeFields) {
-  IntStack stack(IntInstruction::kSwitchIdQueueLatency);
-  stack.push_hop({.switch_id = 1, .queue_depth = 50, .hop_latency_ns = 900});
-  const auto value = stack.encode_value(12);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(static_cast<std::uint8_t>((*value)[3]), 1);
-  EXPECT_EQ(static_cast<std::uint8_t>((*value)[7]), 50);
-  EXPECT_EQ(static_cast<std::uint8_t>((*value)[10]), (900 >> 8) & 0xFF);
-  EXPECT_EQ(static_cast<std::uint8_t>((*value)[11]), 900 & 0xFF);
-}
-
-TEST(IntStack, BytesPerHop) {
-  EXPECT_EQ(int_bytes_per_hop(IntInstruction::kSwitchId), 4u);
-  EXPECT_EQ(int_bytes_per_hop(IntInstruction::kSwitchIdQueueLatency), 12u);
 }
 
 TEST(IntStack, FiveHopFatTreeFitsPaperValueWidth) {

@@ -45,16 +45,31 @@ TEST(WireFabric, DeliversPacketToDestinationHost) {
   EXPECT_EQ(fabric.stats().host_packets_received, 3u);
 }
 
+// The INT source is the edge of the packet's source host, whatever the
+// port: a host's own packet to the INT port is traced like any other.
 TEST(WireFabric, IntSourceAndSinkFireOncePerPacket) {
-  WireFabric fabric(config());
-  const auto flow = make_flow(fabric.topology(), 0, 15);
-  fabric.send_flow(flow, 0, 5);
-  fabric.run();
-  const auto s = fabric.stats();
-  EXPECT_EQ(s.int_sources, 5u);
-  EXPECT_EQ(s.int_sinks, 5u);
-  // 5-hop path, 1 word/hop: shim(4)+md(8)+5*4 = 32 B per packet.
-  EXPECT_EQ(s.int_overhead_bytes, 5u * 32u);
+  for (const auto& [port, packets] :
+       {std::pair<std::uint16_t, std::uint32_t>{8080, 5},
+        std::pair<std::uint16_t, std::uint32_t>{kIntUdpPort, 1}}) {
+    SCOPED_TRACE(port);
+    WireFabric fabric(config());
+    const auto& topo = fabric.topology();
+    auto flow = make_flow(topo, 0, 15);
+    flow.dst_port = port;
+    fabric.send_flow(flow, 0, packets);
+    fabric.run();
+    const auto s = fabric.stats();
+    EXPECT_EQ(s.int_sources, packets);
+    EXPECT_EQ(s.int_sinks, packets);
+    // 5-hop path, 1 word/hop: shim(4)+md(8)+5*4 = 32 B per packet.
+    EXPECT_EQ(s.int_overhead_bytes, packets * 32u);
+    EXPECT_EQ(fabric.host_received(15), packets);
+
+    const auto recorded = fabric.query_path(flow);
+    ASSERT_TRUE(recorded.has_value());
+    const auto key = flow.key_bytes();
+    EXPECT_EQ(*recorded, topo.path(0, 15, xxhash64(key, 0xECB9)));
+  }
 }
 
 TEST(WireFabric, RecordedPathMatchesFatTreeEcmp) {
@@ -100,32 +115,51 @@ TEST(WireFabric, InnerPayloadSurvivesIntRoundTrip) {
   EXPECT_GT(fabric.stats().int_overhead_bytes, 0u);
 }
 
+// kAllSlots writes all N = 2 slots of a key; kStochastic writes one.
 TEST(WireFabric, ReportsReachCollectorThroughUnderlay) {
-  WireFabric fabric(config());
-  const auto flow = make_flow(fabric.topology(), 0, 15);
-  fabric.send_flow(flow, 0, 1);
-  fabric.run();
-  const auto& counters = fabric.cluster().collector(0).ingest_counters();
-  EXPECT_EQ(counters.writes, 2u);  // N = 2 report frames
-  EXPECT_EQ(fabric.stats().reports_emitted, 2u);
-  // Zero CPU writes at the collector.
-  EXPECT_EQ(fabric.cluster().collector(0).store().writes_performed(), 0u);
+  for (const auto& [mode, frames] :
+       {std::pair{core::WriteMode::kAllSlots, 2u},
+        std::pair{core::WriteMode::kStochastic, 1u}}) {
+    SCOPED_TRACE(frames);
+    auto cfg = config();
+    cfg.switch_write_mode = mode;
+    WireFabric fabric(cfg);
+    const auto flow = make_flow(fabric.topology(), 0, 15);
+    fabric.send_flow(flow, 0, 1);
+    fabric.run();
+    const auto& counters = fabric.cluster().collector(0).ingest_counters();
+    EXPECT_EQ(counters.writes, frames);
+    EXPECT_EQ(fabric.stats().reports_emitted, frames);
+    // Zero CPU writes at the collector.
+    EXPECT_EQ(fabric.cluster().collector(0).store().writes_performed(), 0u);
+  }
 }
 
+// One collector, and four sharing the key space: every one of the four
+// executes writes, and queries find each key where the switches put it.
 TEST(WireFabric, ManyFlowsQueryable) {
-  WireFabric fabric(config(4));
-  FlowGenerator gen(fabric.topology(), 17);
-  std::vector<FlowEndpoints> flows;
-  for (int i = 0; i < 300; ++i) {
-    flows.push_back(gen.next_flow());
-    fabric.send_flow(flows.back().tuple, flows.back().src_host, 1);
+  for (const std::uint32_t collectors : {1u, 4u}) {
+    SCOPED_TRACE(collectors);
+    auto cfg = config(4);
+    cfg.n_collectors = collectors;
+    WireFabric fabric(cfg);
+    FlowGenerator gen(fabric.topology(), 17);
+    std::vector<FlowEndpoints> flows;
+    for (int i = 0; i < 300; ++i) {
+      flows.push_back(gen.next_flow());
+      fabric.send_flow(flows.back().tuple, flows.back().src_host, 1);
+    }
+    fabric.run();
+    int found = 0;
+    for (const auto& fe : flows) {
+      if (fabric.query_path(fe.tuple).has_value()) ++found;
+    }
+    EXPECT_GE(found, 296);  // α ≤ 0.037 → near-perfect
+    for (std::uint32_t c = 0; c < collectors; ++c) {
+      EXPECT_GT(fabric.cluster().collector(c).ingest_counters().writes, 0u)
+          << "collector " << c;
+    }
   }
-  fabric.run();
-  int found = 0;
-  for (const auto& fe : flows) {
-    if (fabric.query_path(fe.tuple).has_value()) ++found;
-  }
-  EXPECT_GE(found, 296);  // α ≈ 0.037 → near-perfect
 }
 
 TEST(WireFabric, ReportLossOnUnderlayToleratedByRedundancy) {
@@ -159,16 +193,6 @@ TEST(WireFabric, HopMetadataRichInstructions) {
   EXPECT_EQ(fabric.stats().int_overhead_bytes, 5u * 12u + 12u);
   // Path still recorded (value carries switch ids only).
   EXPECT_TRUE(fabric.query_path(flow).has_value());
-}
-
-TEST(WireFabric, HostOfIpInverse) {
-  WireFabric fabric(config());
-  const auto& topo = fabric.topology();
-  for (std::uint32_t h = 0; h < topo.n_hosts(); ++h) {
-    EXPECT_EQ(fabric.host_of_ip(topo.host_ip(h)), h);
-  }
-  EXPECT_FALSE(
-      fabric.host_of_ip(net::Ipv4Addr::from_octets(192, 168, 1, 1)).has_value());
 }
 
 // A destination no host of the fabric has is dropped and counted at the
