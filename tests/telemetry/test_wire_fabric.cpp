@@ -115,51 +115,32 @@ TEST(WireFabric, InnerPayloadSurvivesIntRoundTrip) {
   EXPECT_GT(fabric.stats().int_overhead_bytes, 0u);
 }
 
-// kAllSlots writes all N = 2 slots of a key; kStochastic writes one.
 TEST(WireFabric, ReportsReachCollectorThroughUnderlay) {
-  for (const auto& [mode, frames] :
-       {std::pair{core::WriteMode::kAllSlots, 2u},
-        std::pair{core::WriteMode::kStochastic, 1u}}) {
-    SCOPED_TRACE(frames);
-    auto cfg = config();
-    cfg.switch_write_mode = mode;
-    WireFabric fabric(cfg);
-    const auto flow = make_flow(fabric.topology(), 0, 15);
-    fabric.send_flow(flow, 0, 1);
-    fabric.run();
-    const auto& counters = fabric.cluster().collector(0).ingest_counters();
-    EXPECT_EQ(counters.writes, frames);
-    EXPECT_EQ(fabric.stats().reports_emitted, frames);
-    // Zero CPU writes at the collector.
-    EXPECT_EQ(fabric.cluster().collector(0).store().writes_performed(), 0u);
-  }
+  WireFabric fabric(config());
+  const auto flow = make_flow(fabric.topology(), 0, 15);
+  fabric.send_flow(flow, 0, 1);
+  fabric.run();
+  const auto& counters = fabric.cluster().collector(0).ingest_counters();
+  EXPECT_EQ(counters.writes, 2u);  // N = 2 report frames
+  EXPECT_EQ(fabric.stats().reports_emitted, 2u);
+  // Zero CPU writes at the collector.
+  EXPECT_EQ(fabric.cluster().collector(0).store().writes_performed(), 0u);
 }
 
-// One collector, and four sharing the key space: every one of the four
-// executes writes, and queries find each key where the switches put it.
 TEST(WireFabric, ManyFlowsQueryable) {
-  for (const std::uint32_t collectors : {1u, 4u}) {
-    SCOPED_TRACE(collectors);
-    auto cfg = config(4);
-    cfg.n_collectors = collectors;
-    WireFabric fabric(cfg);
-    FlowGenerator gen(fabric.topology(), 17);
-    std::vector<FlowEndpoints> flows;
-    for (int i = 0; i < 300; ++i) {
-      flows.push_back(gen.next_flow());
-      fabric.send_flow(flows.back().tuple, flows.back().src_host, 1);
-    }
-    fabric.run();
-    int found = 0;
-    for (const auto& fe : flows) {
-      if (fabric.query_path(fe.tuple).has_value()) ++found;
-    }
-    EXPECT_GE(found, 296);  // α ≤ 0.037 → near-perfect
-    for (std::uint32_t c = 0; c < collectors; ++c) {
-      EXPECT_GT(fabric.cluster().collector(c).ingest_counters().writes, 0u)
-          << "collector " << c;
-    }
+  WireFabric fabric(config(4));
+  FlowGenerator gen(fabric.topology(), 17);
+  std::vector<FlowEndpoints> flows;
+  for (int i = 0; i < 300; ++i) {
+    flows.push_back(gen.next_flow());
+    fabric.send_flow(flows.back().tuple, flows.back().src_host, 1);
   }
+  fabric.run();
+  int found = 0;
+  for (const auto& fe : flows) {
+    if (fabric.query_path(fe.tuple).has_value()) ++found;
+  }
+  EXPECT_GE(found, 296);  // α ≈ 0.037 → near-perfect
 }
 
 TEST(WireFabric, ReportLossOnUnderlayToleratedByRedundancy) {
@@ -193,6 +174,27 @@ TEST(WireFabric, HopMetadataRichInstructions) {
   EXPECT_EQ(fabric.stats().int_overhead_bytes, 5u * 12u + 12u);
   // Path still recorded (value carries switch ids only).
   EXPECT_TRUE(fabric.query_path(flow).has_value());
+}
+
+// The fabric resolves every host's address back to that host: a packet to
+// host_ip(h) reaches host h, and one to an address outside the scheme
+// reaches no host.
+TEST(WireFabric, HostOfIpInverse) {
+  WireFabric fabric(config());
+  const auto& topo = fabric.topology();
+  const std::uint32_t n = topo.n_hosts();
+  for (std::uint32_t h = 0; h < n; ++h) {
+    const std::uint32_t src = (h + 1) % n;
+    fabric.send_flow(make_flow(topo, src, h), src, 1);
+  }
+  auto stray = make_flow(topo, 0, 15);
+  stray.dst_ip = net::Ipv4Addr::from_octets(192, 168, 1, 1);
+  fabric.send_flow(stray, 0, 1);
+  fabric.run();
+  for (std::uint32_t h = 0; h < n; ++h) {
+    EXPECT_EQ(fabric.host_received(h), 1u) << "host " << h;
+  }
+  EXPECT_EQ(fabric.stats().routing_drops, 1u);
 }
 
 // A destination no host of the fabric has is dropped and counted at the
