@@ -1,21 +1,17 @@
 #include "core/query_protocol.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/bytes.hpp"
 
 namespace dart::core {
 
 namespace {
-constexpr std::uint16_t kMagicRequest = 0x4451;   // "DQ"
-constexpr std::uint16_t kMagicResponse = 0x4452;  // "DR"
-constexpr std::uint16_t kMagicPrimitiveRequest = 0x4470;   // "Dp"
-constexpr std::uint16_t kMagicPrimitiveResponse = 0x4472;  // "Dr"
-constexpr std::uint16_t kMagicSketchRequest = 0x4453;   // "DS"
-constexpr std::uint16_t kMagicSketchResponse = 0x4454;  // "DT"
-constexpr std::uint16_t kMagicSubscribeRequest = 0x4455;  // "DU"
-constexpr std::uint16_t kMagicSubscribeAck = 0x4456;      // "DV"
-constexpr std::uint16_t kMagicNotification = 0x4457;      // "DW"
+
+constexpr std::uint16_t magic(FrameKind kind) {
+  return static_cast<std::uint16_t>(kind);
+}
 
 bool valid_standing_kind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(StandingKind::kKeyChange) &&
@@ -32,18 +28,47 @@ bool valid_sketch_op(std::uint8_t op) {
          op == static_cast<std::uint8_t>(SketchOp::kTopK);
 }
 
-std::uint16_t peek_magic(std::span<const std::byte> payload) {
-  BufReader r(payload);
-  const std::uint16_t magic = r.be16();
-  return r.ok() ? magic : 0;
-}
 }  // namespace
+
+FrameKind frame_kind(std::span<const std::byte> payload) {
+  BufReader r(payload);
+  const auto kind = static_cast<FrameKind>(r.be16());
+  if (!r.ok()) return FrameKind::kUnknown;
+  switch (kind) {
+    case FrameKind::kQueryRequest:
+    case FrameKind::kQueryResponse:
+    case FrameKind::kSketchRequest:
+    case FrameKind::kSketchResponse:
+    case FrameKind::kSubscribeRequest:
+    case FrameKind::kSubscribeAck:
+    case FrameKind::kNotification:
+    case FrameKind::kPrimitiveRequest:
+    case FrameKind::kPrimitiveResponse:
+      return kind;
+    case FrameKind::kUnknown:
+      break;
+  }
+  return FrameKind::kUnknown;
+}
+
+std::uint64_t read_request_id(std::span<const std::byte> payload) {
+  if (payload.size() < kRequestIdOffset + 8) return 0;
+  std::uint64_t be = 0;
+  std::memcpy(&be, payload.data() + kRequestIdOffset, sizeof(be));
+  return net_to_host64(be);
+}
+
+void write_request_id(std::span<std::byte> payload, std::uint64_t id) {
+  if (payload.size() < kRequestIdOffset + 8) return;
+  const std::uint64_t be = host_to_net64(id);
+  std::memcpy(payload.data() + kRequestIdOffset, &be, sizeof(be));
+}
 
 std::vector<std::byte> encode_query_request(const QueryRequest& req) {
   std::vector<std::byte> out;
   out.reserve(18 + req.key.size());
   BufWriter w(out);
-  w.be16(kMagicRequest);
+  w.be16(magic(FrameKind::kQueryRequest));
   w.u8(kQueryProtocolVersion);
   w.u8(static_cast<std::uint8_t>(req.policy));
   w.be64(req.request_id);
@@ -56,7 +81,7 @@ std::vector<std::byte> encode_query_request(const QueryRequest& req) {
 std::optional<QueryRequest> parse_query_request(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicRequest) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kQueryRequest)) return std::nullopt;
   if (r.u8() != kQueryProtocolVersion) return std::nullopt;
   QueryRequest req;
   const std::uint8_t policy = r.u8();
@@ -77,7 +102,7 @@ std::vector<std::byte> encode_query_response(const QueryResponse& resp) {
   std::vector<std::byte> out;
   out.reserve(23 + resp.value.size());
   BufWriter w(out);
-  w.be16(kMagicResponse);
+  w.be16(magic(FrameKind::kQueryResponse));
   w.u8(kQueryProtocolVersion);
   w.u8(resp.outcome == QueryOutcome::kFound ? 1 : 0);
   w.be64(resp.request_id);
@@ -94,7 +119,7 @@ std::vector<std::byte> encode_query_response(const QueryResponse& resp) {
 std::optional<QueryResponse> parse_query_response(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicResponse) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kQueryResponse)) return std::nullopt;
   if (r.u8() != kQueryProtocolVersion) return std::nullopt;
   QueryResponse resp;
   resp.outcome = r.u8() != 0 ? QueryOutcome::kFound : QueryOutcome::kEmpty;
@@ -118,7 +143,7 @@ std::vector<std::byte> encode_primitive_request(const PrimitiveRequest& req) {
   std::vector<std::byte> out;
   out.reserve(26 + req.key.size());
   BufWriter w(out);
-  w.be16(kMagicPrimitiveRequest);
+  w.be16(magic(FrameKind::kPrimitiveRequest));
   w.u8(kPrimitiveProtocolVersion);
   w.u8(static_cast<std::uint8_t>(req.op));
   w.be64(req.request_id);
@@ -132,7 +157,7 @@ std::vector<std::byte> encode_primitive_request(const PrimitiveRequest& req) {
 std::optional<PrimitiveRequest> parse_primitive_request(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicPrimitiveRequest) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kPrimitiveRequest)) return std::nullopt;
   if (r.u8() != kPrimitiveProtocolVersion) return std::nullopt;
   const std::uint8_t op = r.u8();
   if (!valid_primitive_op(op)) return std::nullopt;
@@ -155,7 +180,7 @@ std::optional<PrimitiveRequest> parse_primitive_request(
 std::vector<std::byte> encode_primitive_response(const PrimitiveResponse& resp) {
   std::vector<std::byte> out;
   BufWriter w(out);
-  w.be16(kMagicPrimitiveResponse);
+  w.be16(magic(FrameKind::kPrimitiveResponse));
   w.u8(kPrimitiveProtocolVersion);
   w.u8(static_cast<std::uint8_t>(resp.op));
   w.be64(resp.request_id);
@@ -196,7 +221,7 @@ std::vector<std::byte> encode_primitive_response(const PrimitiveResponse& resp) 
 std::optional<PrimitiveResponse> parse_primitive_response(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicPrimitiveResponse) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kPrimitiveResponse)) return std::nullopt;
   if (r.u8() != kPrimitiveProtocolVersion) return std::nullopt;
   const std::uint8_t op = r.u8();
   if (!valid_primitive_op(op)) return std::nullopt;
@@ -257,19 +282,11 @@ std::optional<PrimitiveResponse> parse_primitive_response(
   return resp;
 }
 
-bool is_primitive_request(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicPrimitiveRequest;
-}
-
-bool is_primitive_response(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicPrimitiveResponse;
-}
-
 std::vector<std::byte> encode_sketch_request(const SketchRequest& req) {
   std::vector<std::byte> out;
   out.reserve(20 + req.key.size());
   BufWriter w(out);
-  w.be16(kMagicSketchRequest);
+  w.be16(magic(FrameKind::kSketchRequest));
   w.u8(kSketchProtocolVersion);
   w.u8(static_cast<std::uint8_t>(req.op));
   w.be64(req.request_id);
@@ -283,7 +300,7 @@ std::vector<std::byte> encode_sketch_request(const SketchRequest& req) {
 std::optional<SketchRequest> parse_sketch_request(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicSketchRequest) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kSketchRequest)) return std::nullopt;
   if (r.u8() != kSketchProtocolVersion) return std::nullopt;
   const std::uint8_t op = r.u8();
   if (!valid_sketch_op(op)) return std::nullopt;
@@ -309,7 +326,7 @@ std::optional<SketchRequest> parse_sketch_request(
 std::vector<std::byte> encode_sketch_response(const SketchResponse& resp) {
   std::vector<std::byte> out;
   BufWriter w(out);
-  w.be16(kMagicSketchResponse);
+  w.be16(magic(FrameKind::kSketchResponse));
   w.u8(kSketchProtocolVersion);
   w.u8(static_cast<std::uint8_t>(resp.op));
   w.be64(resp.request_id);
@@ -339,7 +356,7 @@ std::vector<std::byte> encode_sketch_response(const SketchResponse& resp) {
 std::optional<SketchResponse> parse_sketch_response(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicSketchResponse) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kSketchResponse)) return std::nullopt;
   if (r.u8() != kSketchProtocolVersion) return std::nullopt;
   const std::uint8_t op = r.u8();
   if (!valid_sketch_op(op)) return std::nullopt;
@@ -378,19 +395,11 @@ std::optional<SketchResponse> parse_sketch_response(
   return resp;
 }
 
-bool is_sketch_request(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSketchRequest;
-}
-
-bool is_sketch_response(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSketchResponse;
-}
-
 std::vector<std::byte> encode_subscribe_request(const SubscribeRequest& req) {
   std::vector<std::byte> out;
   out.reserve(41 + req.key.size());
   BufWriter w(out);
-  w.be16(kMagicSubscribeRequest);
+  w.be16(magic(FrameKind::kSubscribeRequest));
   w.u8(kGatewayProtocolVersion);
   w.u8(static_cast<std::uint8_t>(req.op));
   w.be64(req.request_id);
@@ -408,7 +417,7 @@ std::vector<std::byte> encode_subscribe_request(const SubscribeRequest& req) {
 std::optional<SubscribeRequest> parse_subscribe_request(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicSubscribeRequest) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kSubscribeRequest)) return std::nullopt;
   if (r.u8() != kGatewayProtocolVersion) return std::nullopt;
   SubscribeRequest req;
   const std::uint8_t op = r.u8();
@@ -437,7 +446,7 @@ std::vector<std::byte> encode_subscribe_ack(const SubscribeAck& ack) {
   std::vector<std::byte> out;
   out.reserve(27);
   BufWriter w(out);
-  w.be16(kMagicSubscribeAck);
+  w.be16(magic(FrameKind::kSubscribeAck));
   w.u8(kGatewayProtocolVersion);
   w.u8(static_cast<std::uint8_t>(ack.op));
   w.be64(ack.request_id);
@@ -451,7 +460,7 @@ std::vector<std::byte> encode_subscribe_ack(const SubscribeAck& ack) {
 std::optional<SubscribeAck> parse_subscribe_ack(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicSubscribeAck) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kSubscribeAck)) return std::nullopt;
   if (r.u8() != kGatewayProtocolVersion) return std::nullopt;
   SubscribeAck ack;
   const std::uint8_t op = r.u8();
@@ -473,7 +482,7 @@ std::vector<std::byte> encode_notification(const StandingNotification& note) {
   std::vector<std::byte> out;
   out.reserve(41 + note.key.size() + note.aux.size());
   BufWriter w(out);
-  w.be16(kMagicNotification);
+  w.be16(magic(FrameKind::kNotification));
   w.u8(kGatewayProtocolVersion);
   w.u8(static_cast<std::uint8_t>(note.kind));
   w.be64(note.subscription_id);
@@ -491,7 +500,7 @@ std::vector<std::byte> encode_notification(const StandingNotification& note) {
 std::optional<StandingNotification> parse_notification(
     std::span<const std::byte> payload) {
   BufReader r(payload);
-  if (r.be16() != kMagicNotification) return std::nullopt;
+  if (r.be16() != magic(FrameKind::kNotification)) return std::nullopt;
   if (r.u8() != kGatewayProtocolVersion) return std::nullopt;
   StandingNotification note;
   const std::uint8_t kind = r.u8();
@@ -513,16 +522,25 @@ std::optional<StandingNotification> parse_notification(
   return note;
 }
 
-bool is_subscribe_request(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSubscribeRequest;
-}
-
-bool is_subscribe_ack(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSubscribeAck;
-}
-
-bool is_notification(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicNotification;
+std::optional<Answer> parse_answer(std::span<const std::byte> payload) {
+  const auto parsed = [](auto answer) -> std::optional<Answer> {
+    if (!answer) return std::nullopt;
+    return Answer{*std::move(answer)};
+  };
+  switch (frame_kind(payload)) {
+    case FrameKind::kQueryResponse:
+      return parsed(parse_query_response(payload));
+    case FrameKind::kPrimitiveResponse:
+      return parsed(parse_primitive_response(payload));
+    case FrameKind::kSketchResponse:
+      return parsed(parse_sketch_response(payload));
+    case FrameKind::kSubscribeAck:
+      return parsed(parse_subscribe_ack(payload));
+    case FrameKind::kNotification:
+      return parsed(parse_notification(payload));
+    default:
+      return std::nullopt;
+  }
 }
 
 QueryResponse make_response(std::uint64_t request_id,

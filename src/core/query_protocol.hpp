@@ -4,8 +4,9 @@
 // network operations: the operator hashes the key to a collector id, looks
 // the collector up in the directory, and sends a query request; the
 // collector reads the key's N slots locally and replies. This module
-// defines the wire format; query_service.hpp provides the collector-side
-// service node and the operator client for the fabric simulator.
+// defines the wire format; query_client.hpp holds the client core both
+// operator front ends share, and query_service.hpp the collector-side
+// service node and the wire operator client for the fabric simulator.
 //
 // Request  (UDP, port 4800) — protocol v2:
 //   [magic 0x4451 "DQ"][ver u8][policy u8][request id u64][epoch u32]
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/query.hpp"
@@ -36,6 +38,44 @@ namespace dart::core {
 
 inline constexpr std::uint16_t kDartQueryUdpPort = 4800;
 inline constexpr std::uint8_t kQueryProtocolVersion = 2;
+
+// --- Shared header prefix ---------------------------------------------------
+//
+// Every frame on UDP/4800 leads with [magic u16][ver u8][op u8]. Requests and
+// responses of every family follow it with [request id u64][epoch u32], and
+// responses then add [flags u8][stale epochs u16]; notifications carry their
+// own body. The magic names the frame, so dispatch reads frame_kind() before
+// committing to a parser, and the fixed offsets let the gateway and the
+// clients re-stamp ids, epochs and staleness on encoded bytes. This header
+// and its .cpp are the one place the magics and offsets live.
+
+enum class FrameKind : std::uint16_t {
+  kUnknown = 0,
+  kQueryRequest = 0x4451,       // "DQ"
+  kQueryResponse = 0x4452,      // "DR"
+  kSketchRequest = 0x4453,      // "DS"
+  kSketchResponse = 0x4454,     // "DT"
+  kSubscribeRequest = 0x4455,   // "DU"
+  kSubscribeAck = 0x4456,       // "DV"
+  kNotification = 0x4457,       // "DW"
+  kPrimitiveRequest = 0x4470,   // "Dp"
+  kPrimitiveResponse = 0x4472,  // "Dr"
+};
+
+inline constexpr std::size_t kRequestIdOffset = 4;
+inline constexpr std::size_t kEpochOffset = 12;
+inline constexpr std::size_t kFlagsOffset = 16;        // responses only
+inline constexpr std::size_t kStaleEpochsOffset = 17;  // responses only
+inline constexpr std::size_t kResponseHeaderBytes = 19;
+
+// The frame `payload`'s magic names; kUnknown for any other leading bytes.
+[[nodiscard]] FrameKind frame_kind(std::span<const std::byte> payload);
+// Request id of an encoded request or response; 0 if the payload is too
+// short to carry one (no request is given id 0).
+[[nodiscard]] std::uint64_t read_request_id(std::span<const std::byte> payload);
+// Re-stamps the request id of an encoded request or response in place; a
+// payload too short to carry one is left alone.
+void write_request_id(std::span<std::byte> payload, std::uint64_t id);
 
 // QueryResponse::flags bits (shared with PrimitiveResponse).
 inline constexpr std::uint8_t kResponseDegraded = 0x01;
@@ -170,11 +210,6 @@ struct PrimitiveResponse {
 [[nodiscard]] std::optional<PrimitiveResponse> parse_primitive_response(
     std::span<const std::byte> payload);
 
-// True iff `payload` leads with the primitive request/response magic — the
-// dispatch test a shared-port service uses before committing to a parser.
-[[nodiscard]] bool is_primitive_request(std::span<const std::byte> payload);
-[[nodiscard]] bool is_primitive_response(std::span<const std::byte> payload);
-
 // --- Sketch backend query ops (store_backend.hpp) ---------------------------
 //
 // Read path of sketch-backed collectors; shares UDP/4800 with the KV and
@@ -244,9 +279,6 @@ struct SketchResponse {
     const SketchResponse& resp);
 [[nodiscard]] std::optional<SketchResponse> parse_sketch_response(
     std::span<const std::byte> payload);
-
-[[nodiscard]] bool is_sketch_request(std::span<const std::byte> payload);
-[[nodiscard]] bool is_sketch_response(std::span<const std::byte> payload);
 
 // --- Standing-query (gateway) ops (src/query/gateway.hpp) -------------------
 //
@@ -342,8 +374,15 @@ struct StandingNotification {
 [[nodiscard]] std::optional<StandingNotification> parse_notification(
     std::span<const std::byte> payload);
 
-[[nodiscard]] bool is_subscribe_request(std::span<const std::byte> payload);
-[[nodiscard]] bool is_subscribe_ack(std::span<const std::byte> payload);
-[[nodiscard]] bool is_notification(std::span<const std::byte> payload);
+// --- Answers ----------------------------------------------------------------
+
+// Any frame a client receives on UDP/4800, parsed.
+using Answer = std::variant<QueryResponse, PrimitiveResponse, SketchResponse,
+                            SubscribeAck, StandingNotification>;
+
+// Parses `payload` with the parser its magic names; nullopt if it is no
+// answer frame or does not parse as the one it claims to be.
+[[nodiscard]] std::optional<Answer> parse_answer(
+    std::span<const std::byte> payload);
 
 }  // namespace dart::core

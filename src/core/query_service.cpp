@@ -1,25 +1,25 @@
 #include "core/query_service.hpp"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/bytes.hpp"
 #include "common/cycles.hpp"
 
 namespace dart::core {
 
-namespace {
-
-net::UdpFrameSpec reply_spec(net::Ipv4Addr from, net::Ipv4Addr to) {
+bool send_query_frame(net::Simulator* sim, net::NodeId self,
+                      const IpResolver& resolver, net::Ipv4Addr from,
+                      net::Ipv4Addr to, std::span<const std::byte> payload) {
+  if (sim == nullptr) return false;
+  const auto dest = resolver(to);
+  if (!dest) return false;
   net::UdpFrameSpec spec;
   spec.src_ip = from;
   spec.dst_ip = to;
   spec.src_port = kDartQueryUdpPort;
   spec.dst_port = kDartQueryUdpPort;
-  return spec;
+  sim->send(self, *dest, net::Packet(net::build_udp_frame(spec, payload)));
+  return true;
 }
-
-}  // namespace
 
 void QueryServiceNode::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
   const auto frame = net::parse_udp_frame(packet.bytes());
@@ -39,46 +39,42 @@ void QueryServiceNode::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
     ++dropped_offline_;
     return;
   }
-  // Shared port: the magic selects KV vs DTA-primitive family before either
-  // parser commits.
-  if (is_primitive_request(frame->payload)) {
-    const auto primitive = parse_primitive_request(frame->payload);
-    if (!primitive) {
-      ++malformed_;
-      return;
-    }
-    auto payload = serve_primitive(*primitive);
-    const auto dest = resolver_(frame->ip.src);
-    if (!dest) return;
-    auto reply = net::build_udp_frame(reply_spec(ip_, frame->ip.src), payload);
-    sim_->send(self_, *dest, net::Packet(std::move(reply)));
-    return;
+  // Shared port: the magic selects the family before its parser commits.
+  std::optional<std::vector<std::byte>> reply;
+  switch (frame_kind(frame->payload)) {
+    case FrameKind::kQueryRequest:
+      if (const auto request = parse_query_request(frame->payload)) {
+        reply = serve_query(*request);
+      }
+      break;
+    case FrameKind::kPrimitiveRequest:
+      if (const auto request = parse_primitive_request(frame->payload)) {
+        reply = serve_primitive(*request);
+      }
+      break;
+    case FrameKind::kSketchRequest:
+      if (const auto request = parse_sketch_request(frame->payload)) {
+        reply = serve_sketch(*request);
+      }
+      break;
+    default:
+      break;
   }
-  if (is_sketch_request(frame->payload)) {
-    const auto sketch = parse_sketch_request(frame->payload);
-    if (!sketch) {
-      ++malformed_;
-      return;
-    }
-    auto payload = serve_sketch(*sketch);
-    const auto dest = resolver_(frame->ip.src);
-    if (!dest) return;
-    auto reply = net::build_udp_frame(reply_spec(ip_, frame->ip.src), payload);
-    sim_->send(self_, *dest, net::Packet(std::move(reply)));
-    return;
-  }
-  const auto request = parse_query_request(frame->payload);
-  if (!request) {
+  if (!reply) {
     ++malformed_;
     return;
   }
+  (void)send_query_frame(sim_, self_, resolver_, ip_, frame->ip.src, *reply);
+}
 
+std::vector<std::byte> QueryServiceNode::serve_query(
+    const QueryRequest& request) {
   // The collector CPU's actual work: N slot reads + checksum filter + vote.
   // Sampled latency: time one in every `resolve_sample_every_` resolves.
   const bool sample =
       resolve_hist_ != nullptr && (served_ % resolve_sample_every_) == 0;
   const std::uint64_t t0 = sample ? rdtsc() : 0;
-  const auto result = collector_->query(request->key, request->policy);
+  const auto result = collector_->query(request.key, request.policy);
   if (sample) {
     const double ns =
         static_cast<double>(rdtsc() - t0) / tsc_ghz();
@@ -87,21 +83,15 @@ void QueryServiceNode::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
   }
   ++served_;
 
-  auto response = make_response(request->request_id, result);
+  auto response = make_response(request.request_id, result);
   // v2: echo the request's epoch so the client can compute staleness even
   // for out-of-order responses.
-  response.epoch = request->epoch;
+  response.epoch = request.epoch;
   // Degraded marking: answering for a dead peer's keys, or our own store is
   // known lossy. An explicit flag beats silently returning garbage.
-  apply_degradation(request->key, response.flags, response.stale_epochs);
+  apply_degradation(request.key, response.flags, response.stale_epochs);
   if (response.degraded()) ++degraded_;
-
-  const auto response_payload = encode_query_response(response);
-  const auto dest = resolver_(frame->ip.src);
-  if (!dest) return;  // requester unreachable — drop, like real UDP
-  auto reply =
-      net::build_udp_frame(reply_spec(ip_, frame->ip.src), response_payload);
-  sim_->send(self_, *dest, net::Packet(std::move(reply)));
+  return encode_query_response(response);
 }
 
 void QueryServiceNode::apply_degradation(std::span<const std::byte> key,
@@ -296,46 +286,42 @@ std::uint32_t OperatorClient::route_of(std::span<const std::byte> key) const {
   return collector;
 }
 
+bool OperatorClient::dispatch(ReadRequest read) {
+  const std::uint32_t collector =
+      read.collector ? *read.collector : route_of(read.key);
+  return collector < service_ips_.size() &&
+         send_tracked(service_ips_[collector], std::move(read.payload));
+}
+
+std::uint64_t OperatorClient::subscribe(net::Ipv4Addr gateway_ip,
+                                        SubscribeRequest request) {
+  return send_tracked(gateway_ip, encode_subscribe_request(request))
+             ? request.request_id
+             : 0;
+}
+
 bool OperatorClient::send_to_ip(net::Ipv4Addr ip,
                                 std::span<const std::byte> payload) {
-  const auto dest = resolver_(ip);
-  if (!dest) return false;
-  auto frame = net::build_udp_frame(reply_spec(ip_, ip), payload);
-  sim_->send(self_, *dest, net::Packet(std::move(frame)));
+  return send_query_frame(sim_, self_, resolver_, ip_, ip, payload);
+}
+
+bool OperatorClient::send_tracked(net::Ipv4Addr ip,
+                                  std::vector<std::byte> payload) {
+  if (!send_to_ip(ip, payload)) return false;
+  const std::uint64_t id = read_request_id(payload);
+  (void)inflight_.book(id, std::move(payload), max_retries_, ip);
+  ++sent_;
+  arm_deadline(id, id);
   return true;
 }
 
-bool OperatorClient::send_to_collector(std::uint32_t collector_id,
-                                       std::vector<std::byte> payload) {
-  if (collector_id >= service_ips_.size()) return false;
-  return send_to_ip(service_ips_[collector_id], payload);
-}
-
-void OperatorClient::track(std::uint64_t wire_id, net::Ipv4Addr destination,
-                           std::vector<std::byte> payload) {
-  // Outstanding only if actually sent: an unreachable service can never
-  // answer, so its id must not inflate pending().
-  PendingRequest rec;
-  rec.destination = destination;
-  rec.payload = std::move(payload);
-  rec.newest_wire_id = wire_id;
-  rec.retries_left = max_retries_;
-  rec.wire_ids.push_back(wire_id);
-  wire_to_logical_[wire_id] = wire_id;
-  pending_req_.emplace(wire_id, std::move(rec));
-  ++sent_;
-  arm_deadline(wire_id, wire_id);
-}
-
-std::optional<std::uint64_t> OperatorClient::retire(std::uint64_t wire_id) {
-  const auto alias = wire_to_logical_.find(wire_id);
-  if (alias == wire_to_logical_.end()) return std::nullopt;
-  const std::uint64_t logical = alias->second;
-  const auto it = pending_req_.find(logical);
-  // Every alias of the retired request is forgotten together, so the late
-  // twin of a retried request can only ever count as unexpected.
-  for (const auto id : it->second.wire_ids) wire_to_logical_.erase(id);
-  pending_req_.erase(it);
+std::optional<std::uint64_t> OperatorClient::settle(std::uint64_t wire_id) {
+  const auto logical = inflight_.logical_of(wire_id);
+  if (!logical) {
+    ++unexpected_;
+    return std::nullopt;
+  }
+  (void)inflight_.retire(*logical);
   ++received_;
   return logical;
 }
@@ -350,181 +336,23 @@ void OperatorClient::arm_deadline(std::uint64_t logical_id,
 
 void OperatorClient::on_deadline(std::uint64_t logical_id,
                                  std::uint64_t wire_id) {
-  const auto it = pending_req_.find(logical_id);
-  // Already answered, or a newer retry owns the deadline now.
-  if (it == pending_req_.end() || it->second.newest_wire_id != wire_id) return;
-  PendingRequest& rec = it->second;
-  if (rec.retries_left == 0) {
+  auto* rec = inflight_.expired(logical_id, wire_id);
+  if (rec == nullptr) return;
+  if (rec->retries_left == 0) {
     // Exhausted: fail the request so a lost response cannot park its id (and
     // pending()) forever.
-    for (const auto id : rec.wire_ids) wire_to_logical_.erase(id);
+    (void)inflight_.retire(logical_id);
     timed_out_ids_.insert(logical_id);
-    pending_req_.erase(it);
     ++timeouts_;
     return;
   }
-  --rec.retries_left;
   ++retries_;
   // Resend under a FRESH wire id — a service that already served the lost
   // original must treat the retry as a new request, and the client must not
-  // confuse the two answers. Every request family carries its id big-endian
-  // at bytes [4, 12), so the stored encoding is patched in place.
-  const std::uint64_t fresh = next_id_++;
-  const std::uint64_t be = host_to_net64(fresh);
-  std::memcpy(rec.payload.data() + 4, &be, sizeof(be));
-  rec.newest_wire_id = fresh;
-  rec.wire_ids.push_back(fresh);
-  wire_to_logical_[fresh] = logical_id;
-  (void)send_to_ip(rec.destination, rec.payload);  // best effort; re-armed
-  arm_deadline(logical_id, fresh);
-}
-
-std::uint64_t OperatorClient::query(std::span<const std::byte> key,
-                                    ReturnPolicy policy) {
-  QueryRequest request;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.policy = policy;
-  request.key.assign(key.begin(), key.end());
-
-  const std::uint32_t collector = route_of(key);
-  if (collector < service_ips_.size()) {
-    auto payload = encode_query_request(request);
-    if (send_to_ip(service_ips_[collector], payload)) {
-      track(request.request_id, service_ips_[collector], std::move(payload));
-    }
-  }
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::drain_ring(std::uint32_t collector_id,
-                                         std::uint64_t max_entries) {
-  PrimitiveRequest request;
-  request.op = PrimitiveOp::kDrainRing;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.max_entries = max_entries;
-  if (collector_id >= service_ips_.size()) return 0;
-  auto payload = encode_primitive_request(request);
-  if (!send_to_ip(service_ips_[collector_id], payload)) return 0;
-  track(request.request_id, service_ips_[collector_id], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::read_counter(std::span<const std::byte> key) {
-  PrimitiveRequest request;
-  request.op = PrimitiveOp::kReadCounter;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(key.begin(), key.end());
-  const std::uint32_t collector = route_of(key);
-  if (collector >= service_ips_.size()) return 0;
-  auto payload = encode_primitive_request(request);
-  if (!send_to_ip(service_ips_[collector], payload)) return 0;
-  track(request.request_id, service_ips_[collector], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::read_postcard_group(
-    std::span<const std::byte> flow_key) {
-  PrimitiveRequest request;
-  request.op = PrimitiveOp::kReadPostcardGroup;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(flow_key.begin(), flow_key.end());
-  const std::uint32_t collector = route_of(flow_key);
-  if (collector >= service_ips_.size()) return 0;
-  auto payload = encode_primitive_request(request);
-  if (!send_to_ip(service_ips_[collector], payload)) return 0;
-  track(request.request_id, service_ips_[collector], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::sketch_estimate(std::span<const std::byte> key) {
-  SketchRequest request;
-  request.op = SketchOp::kEstimate;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(key.begin(), key.end());
-  const std::uint32_t collector = route_of(key);
-  if (collector >= service_ips_.size()) return 0;
-  auto payload = encode_sketch_request(request);
-  if (!send_to_ip(service_ips_[collector], payload)) return 0;
-  track(request.request_id, service_ips_[collector], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::sketch_topk(std::uint32_t collector_id,
-                                          std::uint16_t k) {
-  SketchRequest request;
-  request.op = SketchOp::kTopK;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.k = k;
-  if (collector_id >= service_ips_.size()) return 0;
-  auto payload = encode_sketch_request(request);
-  if (!send_to_ip(service_ips_[collector_id], payload)) return 0;
-  track(request.request_id, service_ips_[collector_id], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::subscribe_key_change(
-    net::Ipv4Addr gateway_ip, std::span<const std::byte> key) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kSubscribe;
-  request.kind = StandingKind::kKeyChange;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(key.begin(), key.end());
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::subscribe_counter_threshold(
-    net::Ipv4Addr gateway_ip, std::span<const std::byte> key,
-    std::uint64_t threshold) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kSubscribe;
-  request.kind = StandingKind::kCounterThreshold;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.threshold = threshold;
-  request.key.assign(key.begin(), key.end());
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::subscribe_topk_delta(net::Ipv4Addr gateway_ip,
-                                                   std::uint32_t collector_id,
-                                                   std::uint16_t k) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kSubscribe;
-  request.kind = StandingKind::kTopKDelta;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.collector = collector_id;
-  request.k = k;
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::unsubscribe(net::Ipv4Addr gateway_ip,
-                                          std::uint64_t subscription_id) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kUnsubscribe;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.subscription_id = subscription_id;
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
+  // confuse the two answers.
+  inflight_.restamp(logical_id, *rec, next_id());
+  (void)send_to_ip(rec->extra, rec->payload);  // best effort; re-armed
+  arm_deadline(logical_id, rec->newest_wire_id);
 }
 
 void OperatorClient::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
@@ -536,110 +364,7 @@ void OperatorClient::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
     ++stray_;
     return;
   }
-  if (is_primitive_response(frame->payload)) {
-    auto response = parse_primitive_response(frame->payload);
-    if (!response) return;
-    const auto logical = retire(response->request_id);
-    if (!logical) {
-      ++unexpected_;
-      return;
-    }
-    if (response->degraded()) ++degraded_;
-    // Answers are filed under the LOGICAL id — the one the caller holds —
-    // even when a retry's fresh wire id carried them home.
-    response->request_id = *logical;
-    primitive_responses_[*logical] = *std::move(response);
-    return;
-  }
-  if (is_sketch_response(frame->payload)) {
-    auto response = parse_sketch_response(frame->payload);
-    if (!response) return;
-    const auto logical = retire(response->request_id);
-    if (!logical) {
-      ++unexpected_;
-      return;
-    }
-    if (response->degraded()) ++degraded_;
-    response->request_id = *logical;
-    sketch_responses_[*logical] = *std::move(response);
-    return;
-  }
-  if (is_subscribe_ack(frame->payload)) {
-    auto ack = parse_subscribe_ack(frame->payload);
-    if (!ack) return;
-    const auto logical = retire(ack->request_id);
-    if (!logical) {
-      ++unexpected_;
-      return;
-    }
-    ack->request_id = *logical;
-    subscribe_acks_[*logical] = *std::move(ack);
-    return;
-  }
-  if (is_notification(frame->payload)) {
-    // Unsolicited by design — this is the push half of a standing query, so
-    // there is no outstanding id to match. Address checks above still apply.
-    auto note = parse_notification(frame->payload);
-    if (!note) return;
-    ++notifications_received_;
-    notifications_.push_back(*std::move(note));
-    return;
-  }
-  auto response = parse_query_response(frame->payload);
-  if (!response) return;
-  // First matching response retires the request; duplicates and replays (UDP
-  // can deliver both) are counted but change neither pending() nor
-  // responses_.
-  const auto logical = retire(response->request_id);
-  if (!logical) {
-    ++unexpected_;
-    return;
-  }
-  if (response->degraded()) ++degraded_;
-  response->request_id = *logical;
-  responses_[*logical] = *std::move(response);
-}
-
-std::optional<PrimitiveResponse> OperatorClient::take_primitive_response(
-    std::uint64_t request_id) {
-  const auto it = primitive_responses_.find(request_id);
-  if (it == primitive_responses_.end()) return std::nullopt;
-  PrimitiveResponse resp = std::move(it->second);
-  primitive_responses_.erase(it);
-  return resp;
-}
-
-std::optional<SketchResponse> OperatorClient::take_sketch_response(
-    std::uint64_t request_id) {
-  const auto it = sketch_responses_.find(request_id);
-  if (it == sketch_responses_.end()) return std::nullopt;
-  SketchResponse resp = std::move(it->second);
-  sketch_responses_.erase(it);
-  return resp;
-}
-
-std::optional<SubscribeAck> OperatorClient::take_subscribe_ack(
-    std::uint64_t request_id) {
-  const auto it = subscribe_acks_.find(request_id);
-  if (it == subscribe_acks_.end()) return std::nullopt;
-  SubscribeAck ack = std::move(it->second);
-  subscribe_acks_.erase(it);
-  return ack;
-}
-
-std::vector<StandingNotification> OperatorClient::take_notifications() {
-  std::vector<StandingNotification> drained;
-  drained.swap(notifications_);
-  return drained;
-}
-
-std::optional<QueryResponse> OperatorClient::take_response(
-    std::uint64_t request_id) {
-  const auto it = responses_.find(request_id);
-  if (it == responses_.end()) return std::nullopt;
-  QueryResponse resp = std::move(it->second);
-  responses_.erase(it);
-  return resp;
+  (void)accept(frame->payload);
 }
 
 void OperatorClient::bind_metrics(obs::MetricRegistry& registry,
@@ -665,7 +390,7 @@ void OperatorClient::bind_metrics(obs::MetricRegistry& registry,
                       [this] { return retries_; },
                       "deadline-driven resends under fresh wire ids");
   registry.counter_fn(prefix + "_operator_notifications_total",
-                      [this] { return notifications_received_; },
+                      [this] { return notifications_received(); },
                       "standing-query notifications pushed to this client");
   registry.gauge_fn(prefix + "_operator_pending",
                     [this] { return static_cast<double>(pending()); },

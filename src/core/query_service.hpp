@@ -1,18 +1,21 @@
-// Collector-side query service and operator-side client (§3.2) as fabric
-// simulator nodes.
+// Collector-side query service and the wire operator client (§3.2) as
+// fabric simulator nodes.
 //
-// QueryServiceNode fronts one Collector: it terminates UDP/4800, resolves
-// each request against the collector's DartStore with the requested return
-// policy, and replies to the requester's IP. This — not report ingest — is
-// where the collector CPU does its work. Well-formed frames that simply are
-// not addressed to this node (wrong dst IP or port) count as `not_for_me`,
+// QueryServiceNode fronts one Collector: it terminates UDP/4800, dispatches
+// each request on its frame kind (query_protocol.hpp), resolves it against
+// the collector's store, primitives or sketch, and sends every reply from
+// one place, to the requester's IP. This — not report ingest — is where the
+// collector CPU does its work. Well-formed frames that simply are not
+// addressed to this node (wrong dst IP or port) count as `not_for_me`,
 // distinct from `malformed` protocol errors, so routing noise never trips a
 // protocol-error alert.
 //
-// OperatorClient implements the four steps of Fig. 2's query flow: hash key
-// → collector id → directory lookup → request/response. It tracks the set
-// of outstanding request ids: a response is accepted only if it is addressed
-// to this client AND matches an in-flight id, so duplicated or replayed
+// OperatorClient is the wire front end of the client core (query_client.hpp),
+// which builds the requests and parses and files the answers. The client
+// adds the routing of Fig. 2's query flow — hash key → collector id →
+// directory lookup — and the wire: it books every request it sends in an
+// InflightTable, and a response is accepted only if it is addressed to this
+// client, parses, AND matches an in-flight id, so duplicated or replayed
 // responses (UDP can deliver both) neither corrupt `pending()` nor
 // overwrite an already-recorded answer. Queries to distinct collectors can
 // be in flight simultaneously, and with enable_timeouts() armed a lost
@@ -37,6 +40,7 @@
 
 #include "core/collector.hpp"
 #include "core/collector_ring.hpp"
+#include "core/query_client.hpp"
 #include "core/query_protocol.hpp"
 #include "core/report_crafter.hpp"
 #include "net/netsim.hpp"
@@ -47,6 +51,13 @@ namespace dart::core {
 // Resolves an IPv4 address to the simulator node that owns it (the fabric's
 // ARP/routing stand-in for the management network).
 using IpResolver = std::function<std::optional<net::NodeId>(net::Ipv4Addr)>;
+
+// Frames `payload` as UDP/4800 from `from` to `to` and sends it from node
+// `self`; false (nothing sent) without a simulator or if `to` does not
+// resolve — the caller drops it, like real UDP.
+bool send_query_frame(net::Simulator* sim, net::NodeId self,
+                      const IpResolver& resolver, net::Ipv4Addr from,
+                      net::Ipv4Addr to, std::span<const std::byte> payload);
 
 class QueryServiceNode final : public net::Node {
  public:
@@ -179,6 +190,9 @@ class QueryServiceNode final : public net::Node {
   void apply_degradation(std::span<const std::byte> key, std::uint8_t& flags,
                          std::uint16_t& stale) const;
 
+  // Resolves one parsed KV request; returns the encoded response.
+  [[nodiscard]] std::vector<std::byte> serve_query(const QueryRequest& request);
+
   // Serves one parsed primitive request; returns the encoded response.
   [[nodiscard]] std::vector<std::byte> serve_primitive(
       const PrimitiveRequest& request);
@@ -213,7 +227,7 @@ class QueryServiceNode final : public net::Node {
   std::uint64_t resolve_samples_ = 0;
 };
 
-class OperatorClient final : public net::Node {
+class OperatorClient final : public net::Node, public ClientCore {
  public:
   // `crafter` supplies the deployment hash family for collector selection;
   // `service_ips[i]` is the query-service address of collector i.
@@ -224,77 +238,31 @@ class OperatorClient final : public net::Node {
 
   void receive(net::Packet packet, std::uint64_t now_ns) override;
 
-  // Sends a query; returns the request id to correlate with take_response().
-  std::uint64_t query(std::span<const std::byte> key,
-                      ReturnPolicy policy = ReturnPolicy::kPlurality);
-
-  // Response for a completed request, if it has arrived (removes it).
-  [[nodiscard]] std::optional<QueryResponse> take_response(std::uint64_t request_id);
-
-  // --- DTA primitive queries (query_protocol.hpp, primitive v1) ------------
-  //
-  // Same transport and outstanding-id discipline as query(); answers arrive
-  // via take_primitive_response(). Returns 0 if the request could not be
-  // sent (unknown collector / unresolvable service IP).
-
-  // Drains collector `collector_id`'s Append ring (rings are per-collector,
-  // so drain targets an explicit collector, not a hashed key).
-  // `max_entries` 0 = no cap.
-  std::uint64_t drain_ring(std::uint32_t collector_id,
-                           std::uint64_t max_entries = 0);
-
-  // Reads the Key-Increment cell owning `key` (hash-routed like query(),
-  // honoring retargets).
-  std::uint64_t read_counter(std::span<const std::byte> key);
-
-  // Reads `flow_key`'s postcard slot group (hash-routed like query()).
-  std::uint64_t read_postcard_group(std::span<const std::byte> flow_key);
-
-  [[nodiscard]] std::optional<PrimitiveResponse> take_primitive_response(
-      std::uint64_t request_id);
-
-  // --- sketch backend queries (query_protocol.hpp, sketch v1) --------------
-  //
-  // Same transport and outstanding-id discipline as query(); answers arrive
-  // via take_sketch_response(). Returns 0 if the request could not be sent.
-
-  // Count-min estimate for `key` (hash-routed like query(), honoring
-  // retargets).
-  std::uint64_t sketch_estimate(std::span<const std::byte> key);
-
-  // Top-k heavy hitters tracked by collector `collector_id` (trackers are
-  // per-collector, so top-k targets an explicit collector, not a hashed
-  // key). `k` >= 1.
-  std::uint64_t sketch_topk(std::uint32_t collector_id, std::uint16_t k);
-
-  [[nodiscard]] std::optional<SketchResponse> take_sketch_response(
-      std::uint64_t request_id);
-
   // --- standing queries (query_protocol.hpp, gateway v1) --------------------
   //
-  // Registration rides the same outstanding-id discipline (the ack retires
-  // the request); notifications are unsolicited pushes, recorded as they
-  // arrive and drained with take_notifications(). `gateway_ip` addresses the
-  // QueryGateway (src/query/gateway.hpp) — plain services ignore these
-  // frames. Returns 0 if the request could not be sent.
+  // Registration rides the same outstanding-id discipline as the reads (the
+  // ack retires the request); notifications are unsolicited pushes, drained
+  // with take_notifications(). `gateway_ip` addresses the QueryGateway
+  // (src/query/gateway.hpp) — plain services ignore these frames. Returns 0
+  // if the request could not be sent.
 
   std::uint64_t subscribe_key_change(net::Ipv4Addr gateway_ip,
-                                     std::span<const std::byte> key);
+                                     std::span<const std::byte> key) {
+    return subscribe(gateway_ip, key_change_request(key));
+  }
   std::uint64_t subscribe_counter_threshold(net::Ipv4Addr gateway_ip,
                                             std::span<const std::byte> key,
-                                            std::uint64_t threshold);
+                                            std::uint64_t threshold) {
+    return subscribe(gateway_ip, counter_threshold_request(key, threshold));
+  }
   std::uint64_t subscribe_topk_delta(net::Ipv4Addr gateway_ip,
                                      std::uint32_t collector_id,
-                                     std::uint16_t k);
+                                     std::uint16_t k) {
+    return subscribe(gateway_ip, topk_delta_request(collector_id, k));
+  }
   std::uint64_t unsubscribe(net::Ipv4Addr gateway_ip,
-                            std::uint64_t subscription_id);
-
-  [[nodiscard]] std::optional<SubscribeAck> take_subscribe_ack(
-      std::uint64_t request_id);
-  // Drains every notification received so far (arrival order).
-  [[nodiscard]] std::vector<StandingNotification> take_notifications();
-  [[nodiscard]] std::uint64_t notifications_received() const noexcept {
-    return notifications_received_;
+                            std::uint64_t subscription_id) {
+    return subscribe(gateway_ip, unsubscribe_request(subscription_id));
   }
 
   // --- request deadlines (off by default) -----------------------------------
@@ -345,7 +313,7 @@ class OperatorClient final : public net::Node {
   [[nodiscard]] net::Ipv4Addr ip() const noexcept { return ip_; }
   // Requests sent and not yet answered (first matching response retires one).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return pending_req_.size();
+    return inflight_.size();
   }
   [[nodiscard]] std::uint64_t queries_sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t responses_received() const noexcept {
@@ -368,31 +336,23 @@ class OperatorClient final : public net::Node {
   }
 
  private:
-  // One logical request in flight. The caller holds the ORIGINAL wire id
-  // (what query() returned); retries alias additional wire ids onto the same
-  // record so any copy's response can retire it — exactly once.
-  struct PendingRequest {
-    net::Ipv4Addr destination{};       // service (or gateway) address
-    std::vector<std::byte> payload;    // latest encoding; wire id at [4, 12)
-    std::uint64_t newest_wire_id = 0;  // only the newest send may retry
-    std::uint32_t retries_left = 0;
-    std::vector<std::uint64_t> wire_ids;  // original + every retry
-  };
+  // Keyed reads go to the retarget-aware owner of the key, the
+  // collector-addressed ones to the collector they name.
+  bool dispatch(ReadRequest read) override;
+  [[nodiscard]] std::uint32_t request_epoch() const override { return epoch_; }
+  // Any wire id of a request in flight retires it; the original's id is
+  // the one the caller holds.
+  std::optional<std::uint64_t> settle(std::uint64_t wire_id) override;
+  std::uint64_t subscribe(net::Ipv4Addr gateway_ip, SubscribeRequest request);
 
-  // Sends an encoded request to collector `collector_id`'s service; returns
-  // false if the id is unknown or its service IP does not resolve.
-  bool send_to_collector(std::uint32_t collector_id,
-                         std::vector<std::byte> payload);
+  // Sends `payload` to `ip` and books it in flight under the id it carries;
+  // false if `ip` does not resolve (an unreachable service can never answer,
+  // so its request must not inflate pending()).
+  bool send_tracked(net::Ipv4Addr ip, std::vector<std::byte> payload);
   [[nodiscard]] bool send_to_ip(net::Ipv4Addr ip,
                                 std::span<const std::byte> payload);
   // Retarget-aware service selection for a hashed key.
   [[nodiscard]] std::uint32_t route_of(std::span<const std::byte> key) const;
-  // Books a freshly-sent request as outstanding and arms its deadline.
-  void track(std::uint64_t wire_id, net::Ipv4Addr destination,
-             std::vector<std::byte> payload);
-  // First response for any wire id of a logical request retires it; returns
-  // the logical id, or nullopt for duplicates/replays/unknown ids.
-  [[nodiscard]] std::optional<std::uint64_t> retire(std::uint64_t wire_id);
   void arm_deadline(std::uint64_t logical_id, std::uint64_t wire_id);
   void on_deadline(std::uint64_t logical_id, std::uint64_t wire_id);
 
@@ -401,25 +361,14 @@ class OperatorClient final : public net::Node {
   net::Ipv4Addr ip_;
   std::vector<net::Ipv4Addr> service_ips_;
   IpResolver resolver_;
-  std::unordered_map<std::uint64_t, QueryResponse> responses_;
-  std::unordered_map<std::uint64_t, PrimitiveResponse> primitive_responses_;
-  std::unordered_map<std::uint64_t, SketchResponse> sketch_responses_;
-  std::unordered_map<std::uint64_t, SubscribeAck> subscribe_acks_;
-  std::vector<StandingNotification> notifications_;
-  // Logical id (the original wire id) → in-flight record, plus the alias map
-  // every arriving response resolves through.
-  std::unordered_map<std::uint64_t, PendingRequest> pending_req_;
-  std::unordered_map<std::uint64_t, std::uint64_t> wire_to_logical_;
+  InflightTable<net::Ipv4Addr> inflight_;  // extra: where the request went
   std::unordered_set<std::uint64_t> timed_out_ids_;
   std::unordered_map<std::uint32_t, std::uint32_t> retargets_;
   std::uint32_t epoch_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t stray_ = 0;
   std::uint64_t unexpected_ = 0;
-  std::uint64_t degraded_ = 0;
-  std::uint64_t notifications_received_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t timeout_ns_ = 0;  // 0 = deadlines disarmed

@@ -10,285 +10,54 @@ namespace dart::query {
 
 namespace {
 
-// Shared header layout of every request AND response family on UDP/4800
-// (query_protocol.hpp): the request id sits big-endian at [4, 12) and the
-// epoch at [12, 16); responses add flags at [16] and stale_epochs at
-// [17, 19). This is what lets the gateway re-stamp ids and staleness on raw
-// payload bytes without re-encoding.
-constexpr std::size_t kIdOffset = 4;
-constexpr std::size_t kEpochOffset = 12;
-constexpr std::size_t kFlagsOffset = 16;
-constexpr std::size_t kStaleOffset = 17;
-constexpr std::size_t kResponseHeaderBytes = 19;
-
-// Wire magics (documented in query_protocol.hpp; the parse/is_* helpers own
-// the authoritative values — these only route dispatch before parsing).
-constexpr std::uint16_t kMagicQueryRequest = 0x4451;
-constexpr std::uint16_t kMagicQueryResponse = 0x4452;
-constexpr std::uint16_t kMagicSketchRequest = 0x4453;
-constexpr std::uint16_t kMagicSketchResponse = 0x4454;
-constexpr std::uint16_t kMagicSubscribeRequest = 0x4455;
-constexpr std::uint16_t kMagicPrimitiveRequest = 0x4470;
-constexpr std::uint16_t kMagicPrimitiveResponse = 0x4472;
-
-[[nodiscard]] std::uint16_t read_magic(std::span<const std::byte> payload) {
-  if (payload.size() < 2) return 0;
-  return static_cast<std::uint16_t>(
-      (std::to_integer<std::uint16_t>(payload[0]) << 8) |
-      std::to_integer<std::uint16_t>(payload[1]));
-}
-
-[[nodiscard]] std::uint64_t read_request_id(std::span<const std::byte> payload) {
-  if (payload.size() < kIdOffset + 8) return 0;
-  std::uint64_t be = 0;
-  std::memcpy(&be, payload.data() + kIdOffset, sizeof(be));
-  return net_to_host64(be);
-}
-
+// Re-stamps the id and epoch of an encoded request or response.
 void patch_id_epoch(std::vector<std::byte>& payload, std::uint64_t id,
                     std::uint32_t epoch) {
-  if (payload.size() < kEpochOffset + 4) return;
-  const std::uint64_t id_be = host_to_net64(id);
-  std::memcpy(payload.data() + kIdOffset, &id_be, sizeof(id_be));
+  if (payload.size() < core::kEpochOffset + 4) return;
+  core::write_request_id(payload, id);
   const std::uint32_t epoch_be = host_to_net32(epoch);
-  std::memcpy(payload.data() + kEpochOffset, &epoch_be, sizeof(epoch_be));
+  std::memcpy(payload.data() + core::kEpochOffset, &epoch_be, sizeof(epoch_be));
 }
 
 // A cache hit `age` epochs old is exactly `age` epochs staler than the
 // upstream answer claimed; the degraded flag rides along so the operator's
 // existing staleness handling sees it.
 void add_staleness(std::vector<std::byte>& payload, std::uint64_t age) {
-  if (age == 0 || payload.size() < kResponseHeaderBytes) return;
-  payload[kFlagsOffset] |= std::byte{core::kResponseDegraded};
+  if (age == 0 || payload.size() < core::kResponseHeaderBytes) return;
+  payload[core::kFlagsOffset] |= std::byte{core::kResponseDegraded};
   std::uint16_t be = 0;
-  std::memcpy(&be, payload.data() + kStaleOffset, sizeof(be));
+  std::memcpy(&be, payload.data() + core::kStaleEpochsOffset, sizeof(be));
   const std::uint32_t sum = net_to_host16(be) + std::min<std::uint64_t>(age, 0xFFFF);
   const std::uint16_t stale =
       sum > 0xFFFF ? 0xFFFF : static_cast<std::uint16_t>(sum);
   be = host_to_net16(stale);
-  std::memcpy(payload.data() + kStaleOffset, &be, sizeof(be));
-}
-
-net::UdpFrameSpec udp_spec(net::Ipv4Addr from, net::Ipv4Addr to) {
-  net::UdpFrameSpec spec;
-  spec.src_ip = from;
-  spec.dst_ip = to;
-  spec.src_port = core::kDartQueryUdpPort;
-  spec.dst_port = core::kDartQueryUdpPort;
-  return spec;
+  std::memcpy(payload.data() + core::kStaleEpochsOffset, &be, sizeof(be));
 }
 
 }  // namespace
 
 // --- GatewaySession ---------------------------------------------------------
 
-std::uint64_t GatewaySession::query(std::span<const std::byte> key,
-                                    core::ReturnPolicy policy) {
-  core::QueryRequest request;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.policy = policy;
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kKv, gateway_->route_key(key),
-      static_cast<std::uint8_t>(policy), 0, key,
-      core::encode_query_request(request), request.request_id,
-      /*cacheable=*/true);
+bool GatewaySession::dispatch(core::ReadRequest read) {
+  return gateway_->session_submit(*this, std::move(read));
 }
 
-std::uint64_t GatewaySession::drain_ring(std::uint32_t collector_id,
-                                         std::uint64_t max_entries) {
-  core::PrimitiveRequest request;
-  request.op = core::PrimitiveOp::kDrainRing;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.max_entries = max_entries;
-  // A drain is a consuming read: never cached, never coalesced — two
-  // operators draining the same ring must each get their own entries.
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kPrimitive,
-      gateway_->apply_retarget(collector_id),
-      static_cast<std::uint8_t>(request.op), 0, {},
-      core::encode_primitive_request(request), request.request_id,
-      /*cacheable=*/false);
+std::uint32_t GatewaySession::request_epoch() const {
+  return static_cast<std::uint32_t>(gateway_->gateway_epoch());
 }
 
-std::uint64_t GatewaySession::read_counter(std::span<const std::byte> key) {
-  core::PrimitiveRequest request;
-  request.op = core::PrimitiveOp::kReadCounter;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kPrimitive, gateway_->route_key(key),
-      static_cast<std::uint8_t>(request.op), 0, key,
-      core::encode_primitive_request(request), request.request_id,
-      /*cacheable=*/true);
+std::uint64_t GatewaySession::subscribe(core::SubscribeRequest request) {
+  QueryGateway::Origin subscriber;
+  subscriber.kind = QueryGateway::Origin::Kind::kSession;
+  subscriber.session = index_;
+  (void)file(gateway_->do_subscribe(request, subscriber));
+  return request.request_id;
 }
 
-std::uint64_t GatewaySession::read_postcard_group(
-    std::span<const std::byte> flow_key) {
-  core::PrimitiveRequest request;
-  request.op = core::PrimitiveOp::kReadPostcardGroup;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.key.assign(flow_key.begin(), flow_key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kPrimitive, gateway_->route_key(flow_key),
-      static_cast<std::uint8_t>(request.op), 0, flow_key,
-      core::encode_primitive_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::sketch_estimate(std::span<const std::byte> key) {
-  core::SketchRequest request;
-  request.op = core::SketchOp::kEstimate;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kSketch, gateway_->route_key(key),
-      static_cast<std::uint8_t>(request.op), 0, key,
-      core::encode_sketch_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::sketch_topk(std::uint32_t collector_id,
-                                          std::uint16_t k) {
-  core::SketchRequest request;
-  request.op = core::SketchOp::kTopK;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.k = k;
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kSketch,
-      gateway_->apply_retarget(collector_id),
-      static_cast<std::uint8_t>(request.op), k, {},
-      core::encode_sketch_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::subscribe_key_change(
-    std::span<const std::byte> key) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kSubscribe;
-  request.kind = core::StandingKind::kKeyChange;
-  request.request_id = next_id_++;
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_subscribe(*this, request);
-}
-
-std::uint64_t GatewaySession::subscribe_counter_threshold(
-    std::span<const std::byte> key, std::uint64_t threshold) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kSubscribe;
-  request.kind = core::StandingKind::kCounterThreshold;
-  request.request_id = next_id_++;
-  request.threshold = threshold;
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_subscribe(*this, request);
-}
-
-std::uint64_t GatewaySession::subscribe_topk_delta(std::uint32_t collector_id,
-                                                   std::uint16_t k) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kSubscribe;
-  request.kind = core::StandingKind::kTopKDelta;
-  request.request_id = next_id_++;
-  request.collector = collector_id;
-  request.k = k;
-  return gateway_->session_subscribe(*this, request);
-}
-
-std::uint64_t GatewaySession::unsubscribe(std::uint64_t subscription_id) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kUnsubscribe;
-  request.request_id = next_id_++;
-  request.subscription_id = subscription_id;
-  return gateway_->session_subscribe(*this, request);
-}
-
-void GatewaySession::deliver(std::uint8_t family,
-                             std::span<const std::byte> payload) {
-  switch (static_cast<QueryGateway::Family>(family)) {
-    case QueryGateway::Family::kKv: {
-      auto response = core::parse_query_response(payload);
-      if (!response) return;
-      if (response->degraded()) ++degraded_;
-      const std::uint64_t id = response->request_id;
-      responses_[id] = *std::move(response);
-      break;
-    }
-    case QueryGateway::Family::kPrimitive: {
-      auto response = core::parse_primitive_response(payload);
-      if (!response) return;
-      if (response->degraded()) ++degraded_;
-      const std::uint64_t id = response->request_id;
-      primitive_responses_[id] = *std::move(response);
-      break;
-    }
-    case QueryGateway::Family::kSketch: {
-      auto response = core::parse_sketch_response(payload);
-      if (!response) return;
-      if (response->degraded()) ++degraded_;
-      const std::uint64_t id = response->request_id;
-      sketch_responses_[id] = *std::move(response);
-      break;
-    }
-  }
+void GatewaySession::deliver(std::span<const std::byte> payload) {
+  if (!accept(payload)) return;
   if (pending_ > 0) --pending_;
   ++answered_;
-}
-
-void GatewaySession::deliver_ack(const core::SubscribeAck& ack) {
-  subscribe_acks_[ack.request_id] = ack;
-}
-
-void GatewaySession::deliver_notification(core::StandingNotification note) {
-  ++notifications_received_;
-  notifications_.push_back(std::move(note));
-}
-
-std::optional<core::QueryResponse> GatewaySession::take_response(
-    std::uint64_t request_id) {
-  const auto it = responses_.find(request_id);
-  if (it == responses_.end()) return std::nullopt;
-  core::QueryResponse resp = std::move(it->second);
-  responses_.erase(it);
-  return resp;
-}
-
-std::optional<core::PrimitiveResponse> GatewaySession::take_primitive_response(
-    std::uint64_t request_id) {
-  const auto it = primitive_responses_.find(request_id);
-  if (it == primitive_responses_.end()) return std::nullopt;
-  core::PrimitiveResponse resp = std::move(it->second);
-  primitive_responses_.erase(it);
-  return resp;
-}
-
-std::optional<core::SketchResponse> GatewaySession::take_sketch_response(
-    std::uint64_t request_id) {
-  const auto it = sketch_responses_.find(request_id);
-  if (it == sketch_responses_.end()) return std::nullopt;
-  core::SketchResponse resp = std::move(it->second);
-  sketch_responses_.erase(it);
-  return resp;
-}
-
-std::optional<core::SubscribeAck> GatewaySession::take_subscribe_ack(
-    std::uint64_t request_id) {
-  const auto it = subscribe_acks_.find(request_id);
-  if (it == subscribe_acks_.end()) return std::nullopt;
-  core::SubscribeAck ack = it->second;
-  subscribe_acks_.erase(it);
-  return ack;
-}
-
-std::vector<core::StandingNotification> GatewaySession::take_notifications() {
-  std::vector<core::StandingNotification> drained;
-  drained.swap(notifications_);
-  return drained;
 }
 
 // --- QueryGateway -----------------------------------------------------------
@@ -334,6 +103,23 @@ std::uint32_t QueryGateway::route_key(std::span<const std::byte> key) const {
   return apply_retarget(collector);
 }
 
+std::uint32_t QueryGateway::route(const core::ReadRequest& read) const {
+  return read.collector ? apply_retarget(*read.collector) : route_key(read.key);
+}
+
+QueryGateway::Family QueryGateway::family_of(core::FrameKind kind) {
+  switch (kind) {
+    case core::FrameKind::kPrimitiveRequest:
+    case core::FrameKind::kPrimitiveResponse:
+      return Family::kPrimitive;
+    case core::FrameKind::kSketchRequest:
+    case core::FrameKind::kSketchResponse:
+      return Family::kSketch;
+    default:
+      return Family::kKv;
+  }
+}
+
 obs::Histogram& QueryGateway::hist_of(Family family) {
   switch (family) {
     case Family::kPrimitive: return hist_primitive_;
@@ -351,38 +137,20 @@ void QueryGateway::record_latency(Family family, double ns) {
   if (mirror != nullptr) mirror->record(ns);
 }
 
-std::uint64_t QueryGateway::session_submit(GatewaySession& session,
-                                           Family family,
-                                           std::uint32_t collector,
-                                           std::uint8_t op, std::uint16_t k,
-                                           std::span<const std::byte> key,
-                                           std::vector<std::byte> payload,
-                                           std::uint64_t downstream_id,
-                                           bool cacheable) {
+bool QueryGateway::session_submit(GatewaySession& session,
+                                  core::ReadRequest read) {
   Origin origin;
   origin.kind = Origin::Kind::kSession;
   origin.session = session.index();
-  origin.downstream_id = downstream_id;
+  origin.downstream_id = core::read_request_id(read.payload);
   origin.epoch = static_cast<std::uint32_t>(epoch_);
+  const std::uint32_t collector = route(read);
   ++session.issued_;
   ++session.pending_;
-  if (submit(family, collector, op, k, key, std::move(payload), origin,
-             cacheable) == 0) {
-    --session.issued_;
-    --session.pending_;
-    return 0;
-  }
-  return downstream_id;
-}
-
-std::uint64_t QueryGateway::session_subscribe(
-    GatewaySession& session, const core::SubscribeRequest& request) {
-  Origin subscriber;
-  subscriber.kind = Origin::Kind::kSession;
-  subscriber.session = session.index();
-  core::SubscribeAck ack = do_subscribe(request, subscriber);
-  session.deliver_ack(ack);
-  return request.request_id;
+  if (submit(std::move(read), collector, origin)) return true;
+  --session.issued_;
+  --session.pending_;
+  return false;
 }
 
 core::SubscribeAck QueryGateway::do_subscribe(
@@ -439,73 +207,66 @@ std::optional<std::uint64_t> QueryGateway::register_standing(
   return sub_id;
 }
 
-std::uint64_t QueryGateway::submit(Family family, std::uint32_t collector,
-                                   std::uint8_t op, std::uint16_t k,
-                                   std::span<const std::byte> key,
-                                   std::vector<std::byte> payload,
-                                   Origin origin, bool cacheable) {
+bool QueryGateway::submit(core::ReadRequest read, std::uint32_t collector,
+                          Origin origin) {
   ++requests_;
   if (collector >= config_.service_ips.size()) {
     ++unroutable_;
-    return 0;
+    return false;
   }
+  const Family family = family_of(read.kind);
+  // A drain is a consuming read: never cached, never coalesced — two
+  // operators draining the same ring must each get their own entries.
+  const bool cacheable =
+      !(family == Family::kPrimitive &&
+        read.op == static_cast<std::uint8_t>(core::PrimitiveOp::kDrainRing));
   CacheKey ck;
   ck.collector = collector;
   ck.family = static_cast<std::uint8_t>(family);
-  ck.op = op;
-  ck.k = k;
-  ck.key.assign(key.begin(), key.end());
+  ck.op = read.op;
+  ck.k = read.k;
+  ck.key.assign(read.key.begin(), read.key.end());
 
   if (cacheable) {
     if (auto hit = cache_.get(ck, epoch_, config_.cache_max_age_epochs)) {
       // Served locally: zero collector CPU, ~zero latency. Recording the hit
       // as 0 ns keeps the SLO histograms honest about what operators see.
       record_latency(family, 0.0);
-      deliver(origin, family, hit->payload, hit->age_epochs);
-      return origin.downstream_id != 0 ? origin.downstream_id : 1;
+      deliver(origin, hit->payload, hit->age_epochs);
+      return true;
     }
     if (const auto it = coalesce_.find(ck); it != coalesce_.end()) {
-      upstream_[it->second].waiters.push_back(origin);
+      upstream_.find(it->second)->extra.waiters.push_back(origin);
       ++coalesced_;
-      return origin.downstream_id != 0 ? origin.downstream_id : 1;
+      return true;
     }
   }
 
-  PendingUpstream rec;
-  rec.collector = collector;
-  rec.family = family;
-  rec.op = op;
-  rec.payload = std::move(payload);
-  rec.retries_left = config_.max_retries;
-  rec.waiters.push_back(origin);
-  rec.first_enqueued_ns = sim_ != nullptr ? sim_->now_ns() : 0;
-  rec.cacheable = cacheable;
-  rec.cache_key = ck;
-
   const std::uint64_t logical = next_upstream_id_++;
-  rec.newest_wire_id = logical;
-  rec.wire_ids.push_back(logical);
-  patch_id_epoch(rec.payload, logical, static_cast<std::uint32_t>(epoch_));
-  upstream_alias_[logical] = logical;
-  const auto [it, inserted] = upstream_.emplace(logical, std::move(rec));
+  patch_id_epoch(read.payload, logical, static_cast<std::uint32_t>(epoch_));
+  Upstream up{collector, family, read.op, {origin},
+              sim_ != nullptr ? sim_->now_ns() : 0, cacheable, ck};
+  const auto& rec = upstream_.book(logical, std::move(read.payload),
+                                   config_.max_retries, std::move(up));
   if (cacheable) coalesce_.emplace(std::move(ck), logical);
   inflight_highwater_ = std::max(inflight_highwater_, upstream_.size());
-  send_upstream(it->second);
+  send_upstream(rec);
   arm_deadline(logical, logical);
-  return origin.downstream_id != 0 ? origin.downstream_id : 1;
+  return true;
 }
 
-void QueryGateway::send_upstream(PendingUpstream& rec) {
+void QueryGateway::send_upstream(const UpstreamTable::Entry& rec) {
   // Counts every upstream frame, retries included — the saturation signal
   // operators alert on (upstream_sent - upstream_retries = logical reads).
   ++upstream_sent_;
-  if (sim_ == nullptr) return;
-  const net::Ipv4Addr service = config_.service_ips[rec.collector];
-  const auto dest = resolver_(service);
-  if (!dest) return;  // dead service: the deadline machinery takes over
-  auto frame =
-      net::build_udp_frame(udp_spec(config_.gateway_ip, service), rec.payload);
-  sim_->send(self_, *dest, net::Packet(std::move(frame)));
+  // A dead service does not resolve: the deadline machinery takes over.
+  send(config_.gateway_ip, config_.service_ips[rec.extra.collector],
+       rec.payload);
+}
+
+void QueryGateway::send(net::Ipv4Addr from, net::Ipv4Addr to,
+                        std::span<const std::byte> payload) {
+  (void)core::send_query_frame(sim_, self_, resolver_, from, to, payload);
 }
 
 void QueryGateway::arm_deadline(std::uint64_t logical_id,
@@ -517,29 +278,20 @@ void QueryGateway::arm_deadline(std::uint64_t logical_id,
 
 void QueryGateway::on_deadline(std::uint64_t logical_id,
                                std::uint64_t wire_id) {
-  const auto it = upstream_.find(logical_id);
-  if (it == upstream_.end() || it->second.newest_wire_id != wire_id) return;
-  PendingUpstream& rec = it->second;
-  if (rec.retries_left > 0) {
-    --rec.retries_left;
+  auto* rec = upstream_.expired(logical_id, wire_id);
+  if (rec == nullptr) return;
+  if (rec->retries_left > 0) {
     ++upstream_retries_;
-    const std::uint64_t fresh = next_upstream_id_++;
-    const std::uint64_t be = host_to_net64(fresh);
-    std::memcpy(rec.payload.data() + kIdOffset, &be, sizeof(be));
-    rec.newest_wire_id = fresh;
-    rec.wire_ids.push_back(fresh);
-    upstream_alias_[fresh] = logical_id;
-    send_upstream(rec);
-    arm_deadline(logical_id, fresh);
+    upstream_.restamp(logical_id, *rec, next_upstream_id_++);
+    send_upstream(*rec);
+    arm_deadline(logical_id, rec->newest_wire_id);
     return;
   }
   // Retries exhausted: every waiter gets a synthesized answer flagged
   // degraded + gateway-timeout, so downstream requests never park forever.
   // Standing reads are simply skipped — the predicate re-evaluates next tick.
-  PendingUpstream dead = std::move(rec);
-  for (const auto id : dead.wire_ids) upstream_alias_.erase(id);
+  const Upstream dead = upstream_.retire(logical_id).extra;
   if (dead.cacheable) coalesce_.erase(dead.cache_key);
-  upstream_.erase(it);
   ++upstream_timeouts_;
   const double waited_ns =
       sim_ != nullptr
@@ -549,12 +301,12 @@ void QueryGateway::on_deadline(std::uint64_t logical_id,
   const auto payload = synthesize_timeout(dead);
   for (const Origin& origin : dead.waiters) {
     if (origin.kind == Origin::Kind::kStanding) continue;
-    deliver(origin, dead.family, payload, 0);
+    deliver(origin, payload, 0);
   }
 }
 
 std::vector<std::byte> QueryGateway::synthesize_timeout(
-    const PendingUpstream& rec) const {
+    const Upstream& rec) const {
   const std::uint8_t flags =
       core::kResponseDegraded | core::kResponseGatewayTimeout;
   switch (rec.family) {
@@ -593,23 +345,21 @@ void QueryGateway::receive(net::Packet packet, std::uint64_t now_ns) {
     ++not_for_me_;
     return;
   }
-  switch (read_magic(frame->payload)) {
-    case kMagicQueryRequest:
-    case kMagicPrimitiveRequest:
-    case kMagicSketchRequest:
-      handle_wire_request(*frame, to_gateway ? 0 : vip->second, !to_gateway);
+  std::optional<std::uint32_t> vip_collector;
+  if (!to_gateway) vip_collector = vip->second;
+  switch (const auto kind = core::frame_kind(frame->payload)) {
+    case core::FrameKind::kQueryRequest:
+    case core::FrameKind::kPrimitiveRequest:
+    case core::FrameKind::kSketchRequest:
+      handle_wire_request(*frame, kind, vip_collector);
       return;
-    case kMagicSubscribeRequest:
+    case core::FrameKind::kSubscribeRequest:
       handle_subscribe(*frame);
       return;
-    case kMagicQueryResponse:
-      handle_upstream_response(Family::kKv, frame->payload, now_ns);
-      return;
-    case kMagicPrimitiveResponse:
-      handle_upstream_response(Family::kPrimitive, frame->payload, now_ns);
-      return;
-    case kMagicSketchResponse:
-      handle_upstream_response(Family::kSketch, frame->payload, now_ns);
+    case core::FrameKind::kQueryResponse:
+    case core::FrameKind::kPrimitiveResponse:
+    case core::FrameKind::kSketchResponse:
+      handle_upstream_response(kind, frame->payload, now_ns);
       return;
     default:
       ++malformed_;
@@ -617,96 +367,63 @@ void QueryGateway::receive(net::Packet packet, std::uint64_t now_ns) {
   }
 }
 
-void QueryGateway::handle_wire_request(const net::ParsedUdpFrame& frame,
-                                       std::uint32_t collector_hint,
-                                       bool hinted) {
+void QueryGateway::handle_wire_request(
+    const net::ParsedUdpFrame& frame, core::FrameKind kind,
+    std::optional<std::uint32_t> vip_collector) {
+  // The parsed request is only needed for validation, routing and cache
+  // identity; the FORWARDED payload is the client's own bytes, re-stamped.
+  core::ReadRequest read;
+  read.kind = kind;
+  std::vector<std::byte> key;
+  std::optional<std::uint32_t> epoch;  // set once the request parses
+  bool addressed = false;  // drain-ring and top-k name their collector
+  switch (kind) {
+    case core::FrameKind::kQueryRequest:
+      if (auto r = core::parse_query_request(frame.payload)) {
+        read.op = static_cast<std::uint8_t>(r->policy);
+        epoch = r->epoch;
+        key = std::move(r->key);
+      }
+      break;
+    case core::FrameKind::kPrimitiveRequest:
+      if (auto r = core::parse_primitive_request(frame.payload)) {
+        read.op = static_cast<std::uint8_t>(r->op);
+        addressed = r->op == core::PrimitiveOp::kDrainRing;
+        epoch = r->epoch;
+        key = std::move(r->key);
+      }
+      break;
+    default:  // kSketchRequest: receive() routes only the three read kinds
+      if (auto r = core::parse_sketch_request(frame.payload)) {
+        read.op = static_cast<std::uint8_t>(r->op);
+        read.k = r->k;
+        addressed = r->op == core::SketchOp::kTopK;
+        epoch = r->epoch;
+        key = std::move(r->key);
+      }
+      break;
+  }
+  if (!epoch) {
+    ++malformed_;
+    return;
+  }
+  if (addressed && !vip_collector) {
+    // It names its collector by ADDRESS (the virtual IP); at the gateway's
+    // own IP there is nothing to route it by.
+    ++unroutable_;
+    return;
+  }
   Origin origin;
   origin.kind = Origin::Kind::kWire;
   origin.client_ip = frame.ip.src;
   origin.reply_from = frame.ip.dst;
-
-  Family family;
-  std::uint32_t collector = 0;
-  std::uint8_t op = 0;
-  std::uint16_t k = 0;
-  std::span<const std::byte> key;
-  // The parsed request is only needed for routing + cache identity; the
-  // FORWARDED payload is the client's own bytes with the id re-stamped.
-  core::QueryRequest kv;
-  core::PrimitiveRequest prim;
-  core::SketchRequest sk;
-
-  switch (read_magic(frame.payload)) {
-    case kMagicQueryRequest: {
-      auto parsed = core::parse_query_request(frame.payload);
-      if (!parsed) {
-        ++malformed_;
-        return;
-      }
-      kv = *std::move(parsed);
-      family = Family::kKv;
-      op = static_cast<std::uint8_t>(kv.policy);
-      key = kv.key;
-      origin.downstream_id = kv.request_id;
-      origin.epoch = kv.epoch;
-      collector = hinted ? apply_retarget(collector_hint) : route_key(kv.key);
-      break;
-    }
-    case kMagicPrimitiveRequest: {
-      auto parsed = core::parse_primitive_request(frame.payload);
-      if (!parsed) {
-        ++malformed_;
-        return;
-      }
-      prim = *std::move(parsed);
-      family = Family::kPrimitive;
-      op = static_cast<std::uint8_t>(prim.op);
-      key = prim.key;
-      origin.downstream_id = prim.request_id;
-      origin.epoch = prim.epoch;
-      if (hinted) {
-        collector = apply_retarget(collector_hint);
-      } else if (prim.op != core::PrimitiveOp::kDrainRing) {
-        collector = route_key(prim.key);
-      } else {
-        // A drain names its collector by ADDRESS (the virtual IP); at the
-        // gateway's own IP there is nothing to route it by.
-        ++unroutable_;
-        return;
-      }
-      break;
-    }
-    default: {  // kMagicSketchRequest — receive() only routes these three
-      auto parsed = core::parse_sketch_request(frame.payload);
-      if (!parsed) {
-        ++malformed_;
-        return;
-      }
-      sk = *std::move(parsed);
-      family = Family::kSketch;
-      op = static_cast<std::uint8_t>(sk.op);
-      k = sk.k;
-      key = sk.key;
-      origin.downstream_id = sk.request_id;
-      origin.epoch = sk.epoch;
-      if (hinted) {
-        collector = apply_retarget(collector_hint);
-      } else if (sk.op == core::SketchOp::kEstimate) {
-        collector = route_key(sk.key);
-      } else {
-        ++unroutable_;
-        return;
-      }
-      break;
-    }
-  }
-
-  const bool cacheable =
-      !(family == Family::kPrimitive &&
-        op == static_cast<std::uint8_t>(core::PrimitiveOp::kDrainRing));
-  std::vector<std::byte> payload(frame.payload.begin(), frame.payload.end());
-  (void)submit(family, collector, op, k, key, std::move(payload), origin,
-               cacheable);
+  origin.downstream_id = core::read_request_id(frame.payload);
+  origin.epoch = *epoch;
+  read.key = key;
+  read.payload.assign(frame.payload.begin(), frame.payload.end());
+  const std::uint32_t collector =
+      vip_collector ? apply_retarget(*vip_collector) : route_key(key);
+  (void)submit(std::move(read), collector, origin);
 }
 
 void QueryGateway::handle_subscribe(const net::ParsedUdpFrame& frame) {
@@ -720,54 +437,45 @@ void QueryGateway::handle_subscribe(const net::ParsedUdpFrame& frame) {
   subscriber.client_ip = frame.ip.src;
   subscriber.reply_from = frame.ip.dst;
   const core::SubscribeAck ack = do_subscribe(*request, subscriber);
-  if (sim_ == nullptr) return;
-  const auto dest = resolver_(frame.ip.src);
-  if (!dest) return;
-  auto reply = net::build_udp_frame(udp_spec(frame.ip.dst, frame.ip.src),
-                                    core::encode_subscribe_ack(ack));
-  sim_->send(self_, *dest, net::Packet(std::move(reply)));
+  send(frame.ip.dst, frame.ip.src, core::encode_subscribe_ack(ack));
 }
 
-void QueryGateway::handle_upstream_response(Family family,
+void QueryGateway::handle_upstream_response(core::FrameKind kind,
                                             std::span<const std::byte> payload,
                                             std::uint64_t now_ns) {
-  const std::uint64_t wire_id = read_request_id(payload);
-  const auto alias = upstream_alias_.find(wire_id);
-  if (alias == upstream_alias_.end()) {
+  const auto logical = upstream_.logical_of(core::read_request_id(payload));
+  if (!logical || upstream_.find(*logical)->extra.family != family_of(kind)) {
     // Duplicate, replay, or an answer that outlived its timeout synthesis.
     ++upstream_unexpected_;
     return;
   }
-  const std::uint64_t logical = alias->second;
-  const auto it = upstream_.find(logical);
-  if (it == upstream_.end() || it->second.family != family) {
-    ++upstream_unexpected_;
+  // An answer retires its read only once it parses. UDP/4800 frames carry no
+  // checksum, so damaged bytes can still match an id; caching or fanning
+  // them out would hand every waiter an answer it cannot read. The read
+  // stays in flight and its deadline asks again.
+  if (!core::parse_answer(payload)) {
+    ++malformed_;
     return;
   }
-  PendingUpstream rec = std::move(it->second);
-  for (const auto id : rec.wire_ids) upstream_alias_.erase(id);
+  const Upstream rec = upstream_.retire(*logical).extra;
   if (rec.cacheable) coalesce_.erase(rec.cache_key);
-  upstream_.erase(it);
 
-  record_latency(family,
+  record_latency(rec.family,
                  static_cast<double>(now_ns - rec.first_enqueued_ns));
   // Only clean answers are worth replaying: degraded / unavailable /
   // timed-out responses must be re-asked, not amplified by the cache.
-  if (rec.cacheable && payload.size() >= kResponseHeaderBytes &&
-      payload[kFlagsOffset] == std::byte{0}) {
+  if (rec.cacheable && payload[core::kFlagsOffset] == std::byte{0}) {
     cache_.put(rec.cache_key,
                std::vector<std::byte>(payload.begin(), payload.end()), epoch_);
   }
-  for (const Origin& origin : rec.waiters) {
-    deliver(origin, family, payload, 0);
-  }
+  for (const Origin& origin : rec.waiters) deliver(origin, payload, 0);
 }
 
-void QueryGateway::deliver(const Origin& origin, Family family,
+void QueryGateway::deliver(const Origin& origin,
                            std::span<const std::byte> payload,
                            std::uint64_t age_epochs) {
   if (origin.kind == Origin::Kind::kStanding) {
-    evaluate_standing(origin.sub_id, family, payload);
+    evaluate_standing(origin.sub_id, payload);
     return;
   }
   std::vector<std::byte> copy(payload.begin(), payload.end());
@@ -775,21 +483,16 @@ void QueryGateway::deliver(const Origin& origin, Family family,
   add_staleness(copy, age_epochs);
   if (origin.kind == Origin::Kind::kSession) {
     if (origin.session < sessions_.size()) {
-      sessions_[origin.session]->deliver(static_cast<std::uint8_t>(family),
-                                         copy);
+      sessions_[origin.session]->deliver(copy);
     }
     return;
   }
-  if (sim_ == nullptr) return;
-  const auto dest = resolver_(origin.client_ip);
-  if (!dest) return;  // requester unreachable — drop, like real UDP
-  auto reply =
-      net::build_udp_frame(udp_spec(origin.reply_from, origin.client_ip), copy);
-  sim_->send(self_, *dest, net::Packet(std::move(reply)));
+  send(origin.reply_from, origin.client_ip, copy);
 }
 
 void QueryGateway::on_epoch(std::uint64_t epoch) {
   epoch_ = epoch;
+  const auto stamp = static_cast<std::uint32_t>(epoch_);
   // Evaluate every standing predicate through the SAME submit pipeline
   // operators use: standing reads coalesce with operator reads and with each
   // other, so a thousand subscriptions on one hot key cost one upstream read.
@@ -797,53 +500,36 @@ void QueryGateway::on_epoch(std::uint64_t epoch) {
     Origin origin;
     origin.kind = Origin::Kind::kStanding;
     origin.sub_id = sub_id;
+    core::ReadRequest read;
     switch (st.kind) {
-      case core::StandingKind::kKeyChange: {
-        core::QueryRequest req;
-        req.epoch = static_cast<std::uint32_t>(epoch_);
-        req.key = st.key;
-        (void)submit(Family::kKv, route_key(st.key),
-                     static_cast<std::uint8_t>(req.policy), 0, st.key,
-                     core::encode_query_request(req), origin,
-                     /*cacheable=*/true);
+      case core::StandingKind::kKeyChange:
+        read = core::kv_read(0, stamp, st.key, core::ReturnPolicy::kPlurality);
         break;
-      }
-      case core::StandingKind::kCounterThreshold: {
-        core::PrimitiveRequest req;
-        req.op = core::PrimitiveOp::kReadCounter;
-        req.epoch = static_cast<std::uint32_t>(epoch_);
-        req.key = st.key;
-        (void)submit(Family::kPrimitive, route_key(st.key),
-                     static_cast<std::uint8_t>(req.op), 0, st.key,
-                     core::encode_primitive_request(req), origin,
-                     /*cacheable=*/true);
+      case core::StandingKind::kCounterThreshold:
+        read = core::primitive_read(0, stamp, core::PrimitiveOp::kReadCounter,
+                                    st.key);
         break;
-      }
-      case core::StandingKind::kTopKDelta: {
-        core::SketchRequest req;
-        req.op = core::SketchOp::kTopK;
-        req.epoch = static_cast<std::uint32_t>(epoch_);
-        req.k = st.k;
-        (void)submit(Family::kSketch, apply_retarget(st.collector),
-                     static_cast<std::uint8_t>(req.op), st.k, {},
-                     core::encode_sketch_request(req), origin,
-                     /*cacheable=*/true);
+      case core::StandingKind::kTopKDelta:
+        read = core::sketch_read(0, stamp, core::SketchOp::kTopK, {},
+                                 st.collector, st.k);
         break;
-      }
     }
+    const std::uint32_t collector = route(read);
+    (void)submit(std::move(read), collector, origin);
   }
 }
 
-void QueryGateway::evaluate_standing(std::uint64_t sub_id, Family family,
+void QueryGateway::evaluate_standing(std::uint64_t sub_id,
                                      std::span<const std::byte> payload) {
   const auto it = standing_.find(sub_id);
   if (it == standing_.end()) return;  // unsubscribed while the read flew
   Standing& st = it->second;
+  const auto answer = core::parse_answer(payload);
+  if (!answer) return;
   switch (st.kind) {
     case core::StandingKind::kKeyChange: {
-      if (family != Family::kKv) return;
-      const auto resp = core::parse_query_response(payload);
-      if (!resp) return;
+      const auto* resp = std::get_if<core::QueryResponse>(&*answer);
+      if (resp == nullptr) return;
       const bool changed = !st.has_last || resp->outcome != st.last_outcome ||
                            resp->value != st.last_value;
       if (changed) {
@@ -861,9 +547,10 @@ void QueryGateway::evaluate_standing(std::uint64_t sub_id, Family family,
       return;
     }
     case core::StandingKind::kCounterThreshold: {
-      if (family != Family::kPrimitive) return;
-      const auto resp = core::parse_primitive_response(payload);
-      if (!resp || resp->op != core::PrimitiveOp::kReadCounter) return;
+      const auto* resp = std::get_if<core::PrimitiveResponse>(&*answer);
+      if (resp == nullptr || resp->op != core::PrimitiveOp::kReadCounter) {
+        return;
+      }
       if (resp->counter_value >= st.threshold) {
         if (st.armed) {
           st.armed = false;
@@ -880,9 +567,8 @@ void QueryGateway::evaluate_standing(std::uint64_t sub_id, Family family,
       return;
     }
     case core::StandingKind::kTopKDelta: {
-      if (family != Family::kSketch) return;
-      const auto resp = core::parse_sketch_response(payload);
-      if (!resp || resp->op != core::SketchOp::kTopK) return;
+      const auto* resp = std::get_if<core::SketchResponse>(&*answer);
+      if (resp == nullptr || resp->op != core::SketchOp::kTopK) return;
       std::set<std::vector<std::byte>> members;
       for (const core::HeavyHitterWire& hh : resp->hitters) {
         members.insert(hh.key);
@@ -910,16 +596,11 @@ void QueryGateway::push_notification(std::uint64_t sub_id, Standing& st,
   const Origin& to = st.subscriber;
   if (to.kind == Origin::Kind::kSession) {
     if (to.session < sessions_.size()) {
-      sessions_[to.session]->deliver_notification(std::move(note));
+      (void)sessions_[to.session]->file(std::move(note));
     }
     return;
   }
-  if (sim_ == nullptr) return;
-  const auto dest = resolver_(to.client_ip);
-  if (!dest) return;
-  auto frame = net::build_udp_frame(udp_spec(to.reply_from, to.client_ip),
-                                    core::encode_notification(note));
-  sim_->send(self_, *dest, net::Packet(std::move(frame)));
+  send(to.reply_from, to.client_ip, core::encode_notification(note));
 }
 
 void QueryGateway::bind_metrics(obs::MetricRegistry& registry,
@@ -965,7 +646,8 @@ void QueryGateway::bind_metrics(obs::MetricRegistry& registry,
                       "subscribe requests refused (bad predicate)");
   registry.counter_fn(prefix + "_gateway_malformed_total",
                       [this] { return malformed_; },
-                      "unparsable frames or unknown magics");
+                      "unparsable frames, unknown magics or upstream "
+                      "answers that do not parse");
   registry.counter_fn(prefix + "_gateway_not_for_me_total",
                       [this] { return not_for_me_; },
                       "well-formed frames addressed to another node");

@@ -6,9 +6,11 @@
 // The gateway multiplexes thousands of operator sessions over the pool:
 //
 //  - Pipelining: every session can keep many requests in flight; the gateway
-//    tracks each downstream request independently under the same
-//    outstanding-request-id discipline OperatorClient uses, re-stamping ids
-//    at the boundary so upstream and downstream id spaces never mix.
+//    books each upstream read in the same InflightTable OperatorClient uses
+//    (core/query_client.hpp), re-stamping ids at the boundary so upstream
+//    and downstream id spaces never mix. An upstream answer retires its read
+//    only once it parses; one that does not stays in flight and counts as
+//    malformed, so the deadline asks again.
 //  - Coalescing: concurrent identical reads (same collector, op, key) ride
 //    ONE upstream request; every waiter gets a copy of the single answer
 //    with its own id and epoch patched back in.
@@ -31,7 +33,9 @@
 // change — while keyed ops may also target the gateway IP directly and be
 // hash-routed. In-process GatewaySession handles carry the same traffic
 // without per-client simulator nodes, which is what lets the scaling bench
-// drive 4096 concurrent clients.
+// drive 4096 concurrent clients. A session is the in-process front end of
+// the same client core OperatorClient runs on: the same reads, subscribe
+// requests and answer accessors.
 //
 // Upstream timeouts reuse the deadline+retry discipline: a lost upstream
 // response is retried under a fresh upstream id, and when retries are
@@ -49,6 +53,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/query_client.hpp"
 #include "core/query_protocol.hpp"
 #include "net/headers.hpp"
 #include "core/query_service.hpp"
@@ -73,38 +78,28 @@ struct QueryGatewayConfig {
 
 class QueryGateway;
 
-// One operator's in-process handle on the gateway: the same five read ops
-// and four subscribe ops OperatorClient offers, minus the wire. Requests
-// return a session-local id; answers arrive via the take_* accessors after
-// the simulator has run. Sessions are created by QueryGateway::open_session
-// and owned by the gateway.
-class GatewaySession {
+// One operator's in-process handle on the gateway: the client core's six
+// reads and take_* accessors plus the four subscribe ops, minus the wire.
+// Requests return a session-local id; answers arrive via the take_*
+// accessors after the simulator has run (cache hits and subscribe acks at
+// once). Every request carries the gateway's epoch. Sessions are created by
+// QueryGateway::open_session and owned by the gateway.
+class GatewaySession final : public core::ClientCore {
  public:
-  std::uint64_t query(std::span<const std::byte> key,
-                      core::ReturnPolicy policy = core::ReturnPolicy::kPlurality);
-  std::uint64_t drain_ring(std::uint32_t collector_id,
-                           std::uint64_t max_entries = 0);
-  std::uint64_t read_counter(std::span<const std::byte> key);
-  std::uint64_t read_postcard_group(std::span<const std::byte> flow_key);
-  std::uint64_t sketch_estimate(std::span<const std::byte> key);
-  std::uint64_t sketch_topk(std::uint32_t collector_id, std::uint16_t k);
-
-  std::uint64_t subscribe_key_change(std::span<const std::byte> key);
+  std::uint64_t subscribe_key_change(std::span<const std::byte> key) {
+    return subscribe(key_change_request(key));
+  }
   std::uint64_t subscribe_counter_threshold(std::span<const std::byte> key,
-                                            std::uint64_t threshold);
+                                            std::uint64_t threshold) {
+    return subscribe(counter_threshold_request(key, threshold));
+  }
   std::uint64_t subscribe_topk_delta(std::uint32_t collector_id,
-                                     std::uint16_t k);
-  std::uint64_t unsubscribe(std::uint64_t subscription_id);
-
-  [[nodiscard]] std::optional<core::QueryResponse> take_response(
-      std::uint64_t request_id);
-  [[nodiscard]] std::optional<core::PrimitiveResponse> take_primitive_response(
-      std::uint64_t request_id);
-  [[nodiscard]] std::optional<core::SketchResponse> take_sketch_response(
-      std::uint64_t request_id);
-  [[nodiscard]] std::optional<core::SubscribeAck> take_subscribe_ack(
-      std::uint64_t request_id);
-  [[nodiscard]] std::vector<core::StandingNotification> take_notifications();
+                                     std::uint16_t k) {
+    return subscribe(topk_delta_request(collector_id, k));
+  }
+  std::uint64_t unsubscribe(std::uint64_t subscription_id) {
+    return subscribe(unsubscribe_request(subscription_id));
+  }
 
   // Requests issued and not yet answered.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
@@ -112,9 +107,6 @@ class GatewaySession {
   [[nodiscard]] std::uint64_t answered() const noexcept { return answered_; }
   // Answers that carried the degraded flag (includes gateway timeouts).
   [[nodiscard]] std::uint64_t degraded() const noexcept { return degraded_; }
-  [[nodiscard]] std::uint64_t notifications_received() const noexcept {
-    return notifications_received_;
-  }
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
  private:
@@ -122,25 +114,24 @@ class GatewaySession {
   GatewaySession(QueryGateway* gateway, std::size_t index)
       : gateway_(gateway), index_(index) {}
 
+  // Reads are submitted to the gateway, stamped with its epoch.
+  bool dispatch(core::ReadRequest read) override;
+  [[nodiscard]] std::uint32_t request_epoch() const override;
+  // The gateway re-stamps every answer with the session's own id.
+  std::optional<std::uint64_t> settle(std::uint64_t id) override { return id; }
+  // Subscribes are answered in process: the ack is filed before this
+  // returns.
+  std::uint64_t subscribe(core::SubscribeRequest request);
+
   // Called by the gateway when this session's answer is ready. `payload` is
   // the encoded response, already re-stamped with this session's id/epoch.
-  void deliver(std::uint8_t family, std::span<const std::byte> payload);
-  void deliver_ack(const core::SubscribeAck& ack);
-  void deliver_notification(core::StandingNotification note);
+  void deliver(std::span<const std::byte> payload);
 
   QueryGateway* gateway_;
   std::size_t index_;
-  std::uint64_t next_id_ = 1;
   std::size_t pending_ = 0;
   std::uint64_t issued_ = 0;
   std::uint64_t answered_ = 0;
-  std::uint64_t degraded_ = 0;
-  std::uint64_t notifications_received_ = 0;
-  std::unordered_map<std::uint64_t, core::QueryResponse> responses_;
-  std::unordered_map<std::uint64_t, core::PrimitiveResponse> primitive_responses_;
-  std::unordered_map<std::uint64_t, core::SketchResponse> sketch_responses_;
-  std::unordered_map<std::uint64_t, core::SubscribeAck> subscribe_acks_;
-  std::vector<core::StandingNotification> notifications_;
 };
 
 class QueryGateway final : public net::Node {
@@ -257,22 +248,19 @@ class QueryGateway final : public net::Node {
     std::uint32_t epoch = 0;          // epoch to re-stamp into the answer
   };
 
-  // One upstream read in flight, with every downstream waiter coalesced onto
-  // it. Retries alias fresh upstream wire ids onto the same record, exactly
-  // like OperatorClient::PendingRequest.
-  struct PendingUpstream {
+  // What the gateway keeps per upstream read in flight (the InflightTable
+  // extra): its family and cache identity, and every downstream waiter
+  // coalesced onto it.
+  struct Upstream {
     std::uint32_t collector = 0;
     Family family = Family::kKv;
     std::uint8_t op = 0;  // policy byte (KV) / op byte (primitive, sketch)
-    std::vector<std::byte> payload;  // upstream encoding; id at [4, 12)
-    std::uint64_t newest_wire_id = 0;
-    std::uint32_t retries_left = 0;
-    std::vector<std::uint64_t> wire_ids;
     std::vector<Origin> waiters;
     std::uint64_t first_enqueued_ns = 0;
     bool cacheable = false;
     CacheKey cache_key;
   };
+  using UpstreamTable = core::InflightTable<Upstream>;
 
   // One registered standing predicate plus its evaluation state.
   struct Standing {
@@ -293,49 +281,49 @@ class QueryGateway final : public net::Node {
     std::set<std::vector<std::byte>> members;
   };
 
-  // Downstream entry points (wire + session share them).
-  std::uint64_t submit(Family family, std::uint32_t collector, std::uint8_t op,
-                       std::uint16_t k, std::span<const std::byte> key,
-                       std::vector<std::byte> payload, Origin origin,
-                       bool cacheable);
-  std::uint64_t session_submit(GatewaySession& session, Family family,
-                               std::uint32_t collector, std::uint8_t op,
-                               std::uint16_t k, std::span<const std::byte> key,
-                               std::vector<std::byte> payload,
-                               std::uint64_t downstream_id, bool cacheable);
-  std::uint64_t session_subscribe(GatewaySession& session,
-                                  const core::SubscribeRequest& request);
+  // Downstream entry points (wire + session + standing share submit).
+  bool submit(core::ReadRequest read, std::uint32_t collector, Origin origin);
+  bool session_submit(GatewaySession& session, core::ReadRequest read);
   [[nodiscard]] core::SubscribeAck do_subscribe(
       const core::SubscribeRequest& request, Origin subscriber);
   void handle_wire_request(const net::ParsedUdpFrame& frame,
-                           std::uint32_t collector_hint, bool hinted);
+                           core::FrameKind kind,
+                           std::optional<std::uint32_t> vip_collector);
   void handle_subscribe(const net::ParsedUdpFrame& frame);
   std::optional<std::uint64_t> register_standing(const core::SubscribeRequest& req,
                                                  Origin subscriber);
 
   // Upstream half.
-  void send_upstream(PendingUpstream& rec);
-  void handle_upstream_response(Family family,
+  void send_upstream(const UpstreamTable::Entry& rec);
+  void handle_upstream_response(core::FrameKind kind,
                                 std::span<const std::byte> payload,
                                 std::uint64_t now_ns);
   void arm_deadline(std::uint64_t logical_id, std::uint64_t wire_id);
   void on_deadline(std::uint64_t logical_id, std::uint64_t wire_id);
   [[nodiscard]] std::vector<std::byte> synthesize_timeout(
-      const PendingUpstream& rec) const;
+      const Upstream& rec) const;
 
   // Fan-out: copy `payload`, patch the waiter's id/epoch (and optional cache
   // age) into the shared response header, and deliver.
-  void deliver(const Origin& origin, Family family,
-               std::span<const std::byte> payload, std::uint64_t age_epochs);
+  void deliver(const Origin& origin, std::span<const std::byte> payload,
+               std::uint64_t age_epochs);
   void push_notification(std::uint64_t sub_id, Standing& st,
                          core::StandingNotification note);
+  // Frames `payload` to a wire client or service; dropped if `to` does not
+  // resolve, like real UDP.
+  void send(net::Ipv4Addr from, net::Ipv4Addr to,
+            std::span<const std::byte> payload);
 
   // Standing evaluation (driven by on_epoch via internal upstream reads).
-  void evaluate_standing(std::uint64_t sub_id, Family family,
+  void evaluate_standing(std::uint64_t sub_id,
                          std::span<const std::byte> payload);
 
+  [[nodiscard]] static Family family_of(core::FrameKind kind);
   [[nodiscard]] std::uint32_t apply_retarget(std::uint32_t collector) const;
   [[nodiscard]] std::uint32_t route_key(std::span<const std::byte> key) const;
+  // Keyed reads by key hash, collector-addressed ones by the collector they
+  // name; retargets apply to both.
+  [[nodiscard]] std::uint32_t route(const core::ReadRequest& read) const;
   void record_latency(Family family, double ns);
   [[nodiscard]] obs::Histogram& hist_of(Family family);
 
@@ -349,8 +337,7 @@ class QueryGateway final : public net::Node {
   ResultCache cache_;
   std::deque<std::unique_ptr<GatewaySession>> sessions_;
 
-  std::unordered_map<std::uint64_t, PendingUpstream> upstream_;
-  std::unordered_map<std::uint64_t, std::uint64_t> upstream_alias_;
+  UpstreamTable upstream_;
   std::unordered_map<CacheKey, std::uint64_t, CacheKeyHash> coalesce_;
   std::unordered_map<std::uint64_t, Standing> standing_;
 

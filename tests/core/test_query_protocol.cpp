@@ -457,5 +457,37 @@ TEST_F(QueryServiceFixture, ReplayedResponseForRetiredIdIsIgnored) {
   EXPECT_EQ(got, 0xFACEu) << "replay must not overwrite the recorded answer";
 }
 
+// A request that cannot be sent returns 0, whichever of the ten it is, and
+// leaves nothing in flight: here no service address resolves.
+TEST(OperatorClientUnsent, EveryRequestReturnsZeroWhenNoServiceResolves) {
+  DartConfig cfg;
+  cfg.n_slots = 1 << 8;
+  cfg.n_addresses = 2;
+  cfg.value_bytes = 8;
+  const ReportCrafter crafter(cfg);
+  const IpResolver nowhere = [](net::Ipv4Addr) -> std::optional<net::NodeId> {
+    return std::nullopt;
+  };
+  OperatorClient client(crafter, net::Ipv4Addr::from_octets(10, 9, 0, 1),
+                        {net::Ipv4Addr::from_octets(10, 0, 100, 0),
+                         net::Ipv4Addr::from_octets(10, 0, 100, 1)},
+                        nowhere);
+  const auto key = key_of("unsent");
+  const auto gateway = net::Ipv4Addr::from_octets(10, 9, 2, 254);
+
+  EXPECT_EQ(client.query(key), 0u);
+  EXPECT_EQ(client.drain_ring(0), 0u);
+  EXPECT_EQ(client.read_counter(key), 0u);
+  EXPECT_EQ(client.read_postcard_group(key), 0u);
+  EXPECT_EQ(client.sketch_estimate(key), 0u);
+  EXPECT_EQ(client.sketch_topk(1, 4), 0u);
+  EXPECT_EQ(client.subscribe_key_change(gateway, key), 0u);
+  EXPECT_EQ(client.subscribe_counter_threshold(gateway, key, 10), 0u);
+  EXPECT_EQ(client.subscribe_topk_delta(gateway, 0, 4), 0u);
+  EXPECT_EQ(client.unsubscribe(gateway, 1), 0u);
+  EXPECT_EQ(client.pending(), 0u);
+  EXPECT_EQ(client.queries_sent(), 0u);
+}
+
 }  // namespace
 }  // namespace dart::core

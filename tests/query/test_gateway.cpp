@@ -252,6 +252,61 @@ TEST_F(GatewayFixture, OfflineServiceSynthesizesFlaggedTimeout) {
   EXPECT_EQ(live->value, value_of(44));
 }
 
+// An upstream answer retires its read only once it parses. UDP/4800 frames
+// carry no UDP checksum, so a damaged answer can still match a request id;
+// here a bare 19-byte KV answer header for upstream id 1 (flags 0, no body)
+// reaches the gateway before the genuine answer. It must be neither cached
+// nor handed to the waiting session: the read stays in flight and the
+// genuine answer completes it.
+TEST_F(GatewayFixture, UpstreamAnswerThatDoesNotParseStaysInFlight) {
+  obs::MetricRegistry registry;
+  gateway_->bind_metrics(registry, "dart");
+  auto& session = gateway_->open_session();
+  const auto key = key_of(5);
+  cluster_->write(key, value_of(55));
+  const auto id = session.query(key);
+  ASSERT_EQ(gateway_->inflight(), 1u);
+
+  const std::vector<std::byte> header = {
+      std::byte{0x44}, std::byte{0x52}, std::byte{2}, std::byte{0},  // DR v2
+      std::byte{0}, std::byte{0}, std::byte{0}, std::byte{0},
+      std::byte{0}, std::byte{0}, std::byte{0}, std::byte{1},  // id 1
+      std::byte{0}, std::byte{0}, std::byte{0}, std::byte{0},  // epoch
+      std::byte{0}, std::byte{0}, std::byte{0}};  // flags, stale epochs
+  net::UdpFrameSpec spec;
+  spec.src_ip = gateway_->config().service_ips[cluster_->owner_of(key)];
+  spec.dst_ip = gateway_->config().gateway_ip;
+  spec.src_port = core::kDartQueryUdpPort;
+  spec.dst_port = core::kDartQueryUdpPort;
+  gateway_->receive(net::Packet(net::build_udp_frame(spec, header)), 0);
+
+  EXPECT_EQ(gateway_->inflight(), 1u);
+  EXPECT_EQ(gateway_->cache().inserts(), 0u);
+  EXPECT_EQ(registry.snapshot().value_of("dart_gateway_malformed_total"), 1.0);
+  EXPECT_EQ(session.pending(), 1u);
+  EXPECT_FALSE(session.take_response(id).has_value());
+
+  sim_.run();
+  EXPECT_EQ(gateway_->upstream_unexpected(), 0u);
+  EXPECT_EQ(session.pending(), 0u);
+  const auto resp = session.take_response(id);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->value, value_of(55));
+
+  // Later reads of the key, by the session and by a wire client, are
+  // answered with the genuine value.
+  const auto again = session.query(key);
+  const auto wire_id = wire_op_->query(key);
+  sim_.run();
+  EXPECT_EQ(session.pending(), 0u);
+  const auto second = session.take_response(again);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->value, value_of(55));
+  const auto wire = wire_op_->take_response(wire_id);
+  ASSERT_TRUE(wire.has_value());
+  EXPECT_EQ(wire->value, value_of(55));
+}
+
 TEST_F(GatewayFixture, WireClientRidesVirtualIpsTransparently) {
   const auto key = key_of(12);
   cluster_->write(key, value_of(120));
@@ -339,6 +394,7 @@ TEST_F(GatewayFixture, StandingKeyChangePushesWithoutPolling) {
   const auto unsub_ack = session.take_subscribe_ack(unsub);
   ASSERT_TRUE(unsub_ack.has_value());
   EXPECT_FALSE(unsub_ack->rejected());
+  EXPECT_EQ(unsub_ack->epoch, gateway_->gateway_epoch());  // echoed, like reads
   EXPECT_EQ(gateway_->n_standing(), 0u);
   cluster_->write(key, value_of(3));
   gateway_->on_epoch(4);

@@ -28,11 +28,11 @@ TEST(GatewayProtocol, SubscribeRequestRoundTripsAllKinds) {
   req.key = bytes_of({1, 2, 3, 4, 5});
 
   const auto wire = encode_subscribe_request(req);
-  ASSERT_TRUE(is_subscribe_request(wire));
-  EXPECT_FALSE(is_subscribe_ack(wire));
-  EXPECT_FALSE(is_notification(wire));
-  EXPECT_FALSE(is_primitive_request(wire));
-  EXPECT_FALSE(is_sketch_request(wire));
+  ASSERT_EQ(frame_kind(wire), FrameKind::kSubscribeRequest);
+  EXPECT_NE(frame_kind(wire), FrameKind::kSubscribeAck);
+  EXPECT_NE(frame_kind(wire), FrameKind::kNotification);
+  EXPECT_NE(frame_kind(wire), FrameKind::kPrimitiveRequest);
+  EXPECT_NE(frame_kind(wire), FrameKind::kSketchRequest);
 
   const auto back = parse_subscribe_request(wire);
   ASSERT_TRUE(back.has_value());
@@ -72,8 +72,8 @@ TEST(GatewayProtocol, SubscribeAckRoundTripsIncludingRejection) {
   ack.epoch = 17;
   ack.subscription_id = 1001;
   const auto wire = encode_subscribe_ack(ack);
-  ASSERT_TRUE(is_subscribe_ack(wire));
-  EXPECT_FALSE(is_subscribe_request(wire));
+  ASSERT_EQ(frame_kind(wire), FrameKind::kSubscribeAck);
+  EXPECT_NE(frame_kind(wire), FrameKind::kSubscribeRequest);
   const auto back = parse_subscribe_ack(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->request_id, 42u);
@@ -103,8 +103,8 @@ TEST(GatewayProtocol, NotificationRoundTrips) {
   note.aux = bytes_of({0x10, 0x20, 0x30, 0x40});
 
   const auto wire = encode_notification(note);
-  ASSERT_TRUE(is_notification(wire));
-  EXPECT_FALSE(is_subscribe_ack(wire));
+  ASSERT_EQ(frame_kind(wire), FrameKind::kNotification);
+  EXPECT_NE(frame_kind(wire), FrameKind::kSubscribeAck);
   const auto back = parse_notification(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->kind, note.kind);
@@ -174,7 +174,7 @@ TEST(GatewayProtocol, MalformedFramesAreRejected) {
   // Wrong magic is not even dispatched.
   auto bad_magic = wire;
   bad_magic[0] = std::byte{0x00};
-  EXPECT_FALSE(is_subscribe_request(bad_magic));
+  EXPECT_NE(frame_kind(bad_magic), FrameKind::kSubscribeRequest);
   EXPECT_FALSE(parse_subscribe_request(bad_magic).has_value());
 
   StandingNotification note;

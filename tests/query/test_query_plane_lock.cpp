@@ -169,7 +169,8 @@ struct Plane {
           cluster->collector(c), gcfg.service_ips[c], resolver));
       services.back()->set_deployment(&cluster->crafter(), kCollectors);
     }
-    gateway = std::make_unique<QueryGateway>(gcfg, cluster->crafter(), resolver);
+    gateway =
+        std::make_unique<QueryGateway>(gcfg, cluster->crafter(), resolver);
     wire = std::make_unique<core::OperatorClient>(
         cluster->crafter(), net::Ipv4Addr::from_octets(10, 9, 9, 1),
         gcfg.virtual_ips, resolver);
