@@ -1,19 +1,33 @@
 #include "net/checksum.hpp"
 
+#include <cstring>
+
+#include "common/bytes.hpp"
+
 namespace dart::net {
 
 void InternetChecksum::add(std::span<const std::byte> data) noexcept {
-  std::size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    const auto hi = static_cast<std::uint16_t>(static_cast<std::uint8_t>(data[i]));
-    const auto lo =
-        static_cast<std::uint16_t>(static_cast<std::uint8_t>(data[i + 1]));
-    sum_ += static_cast<std::uint16_t>((hi << 8) | lo);
+  // Whole big-endian 32-bit words: a word adds hi * 2^16 + lo, which folds
+  // to hi + lo, so the one's-complement sum is the one over 16-bit words
+  // (RFC 1071 §2) at whatever even offset a chunk starts.
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t sum = sum_;
+  for (; n >= 4; p += 4, n -= 4) {
+    std::uint32_t word;
+    std::memcpy(&word, p, sizeof(word));
+    sum += net_to_host32(word);
   }
-  if (i < data.size()) {
-    const auto hi = static_cast<std::uint16_t>(static_cast<std::uint8_t>(data[i]));
-    sum_ += static_cast<std::uint16_t>(hi << 8);
+  // A last 16-bit word, then an odd byte as the high half of a zero-padded
+  // word.
+  if (n >= 2) {
+    sum += (std::to_integer<std::uint32_t>(p[0]) << 8) |
+           std::to_integer<std::uint32_t>(p[1]);
+    p += 2;
+    n -= 2;
   }
+  if (n != 0) sum += std::to_integer<std::uint32_t>(p[0]) << 8;
+  sum_ = sum;
 }
 
 std::uint16_t InternetChecksum::finish() const noexcept {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 
 #include "net/checksum.hpp"
 
@@ -21,95 +22,74 @@ std::string Ipv4Addr::str() const {
   return buf;
 }
 
-// ---------------------------------------------------------------------------
-// Ethernet
-// ---------------------------------------------------------------------------
+namespace {
 
-void EthernetHeader::serialize(BufWriter& w) const {
-  for (const auto b : dst) w.u8(b);
-  for (const auto b : src) w.u8(b);
-  w.be16(ether_type);
+// Offsets of the fixed layout: Ethernet II, options-free IPv4, 8-byte L4.
+constexpr std::size_t kIp = kEthernetHeaderLen;
+constexpr std::size_t kL4 = kIp + kIpv4HeaderLen;
+
+void put16(std::byte* p, std::uint16_t v) noexcept {
+  p[0] = static_cast<std::byte>(v >> 8);
+  p[1] = static_cast<std::byte>(v & 0xFF);
 }
 
-std::optional<EthernetHeader> EthernetHeader::parse(BufReader& r) {
-  EthernetHeader h;
-  for (auto& b : h.dst) b = r.u8();
-  for (auto& b : h.src) b = r.u8();
-  h.ether_type = r.be16();
-  if (!r.ok()) return std::nullopt;
-  return h;
+void put32(std::byte* p, std::uint32_t v) noexcept {
+  put16(p, static_cast<std::uint16_t>(v >> 16));
+  put16(p + 2, static_cast<std::uint16_t>(v & 0xFFFF));
 }
+
+[[nodiscard]] std::uint16_t get16(const std::byte* p) noexcept {
+  return static_cast<std::uint16_t>((std::to_integer<unsigned>(p[0]) << 8) |
+                                    std::to_integer<unsigned>(p[1]));
+}
+
+[[nodiscard]] std::uint32_t get32(const std::byte* p) noexcept {
+  return (std::uint32_t{get16(p)} << 16) | get16(p + 2);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // IPv4
 // ---------------------------------------------------------------------------
 
-void Ipv4Header::serialize(BufWriter& w) const {
-  // Built on the stack, then checksummed and appended in one go.
-  std::array<std::byte, kIpv4HeaderLen> hdr{};
-  const auto put16 = [&hdr](std::size_t at, std::uint16_t v) {
-    hdr[at] = static_cast<std::byte>(v >> 8);
-    hdr[at + 1] = static_cast<std::byte>(v & 0xFF);
-  };
-  hdr[0] = std::byte{0x45};  // version 4, IHL 5
-  hdr[1] = static_cast<std::byte>(dscp << 2);
-  put16(2, total_length);
-  put16(4, identification);
-  // Bytes 6-7, flags + fragment offset: DF not modeled. 10-11: checksum.
-  hdr[8] = static_cast<std::byte>(ttl);
-  hdr[9] = static_cast<std::byte>(protocol);
-  put16(12, static_cast<std::uint16_t>(src.value >> 16));
-  put16(14, static_cast<std::uint16_t>(src.value & 0xFFFF));
-  put16(16, static_cast<std::uint16_t>(dst.value >> 16));
-  put16(18, static_cast<std::uint16_t>(dst.value & 0xFFFF));
-  put16(10, internet_checksum(hdr));
-  w.bytes(hdr);
+void Ipv4Header::write(
+    std::span<std::byte, kIpv4HeaderLen> out) const noexcept {
+  std::byte* p = out.data();
+  p[0] = std::byte{0x45};  // version 4, IHL 5
+  p[1] = static_cast<std::byte>(dscp << 2);
+  put16(p + 2, total_length);
+  put16(p + 4, identification);
+  put16(p + 6, 0);  // flags + fragment offset: DF not modeled
+  p[8] = static_cast<std::byte>(ttl);
+  p[9] = static_cast<std::byte>(protocol);
+  put16(p + 10, 0);
+  put32(p + 12, src.value);
+  put32(p + 16, dst.value);
+  put16(p + 10, internet_checksum(out));
 }
 
-std::optional<Ipv4Header> Ipv4Header::parse(BufReader& r) {
-  const auto raw = r.view(kIpv4HeaderLen);
-  if (raw.size() != kIpv4HeaderLen) return std::nullopt;
-  BufReader hr(raw);
-
-  const std::uint8_t ver_ihl = hr.u8();
-  if ((ver_ihl >> 4) != 4 || (ver_ihl & 0x0F) != 5) return std::nullopt;
-
-  Ipv4Header h;
-  h.dscp = hr.u8() >> 2;
-  h.total_length = hr.be16();
-  h.identification = hr.be16();
-  hr.skip(2);  // flags/frag
-  h.ttl = hr.u8();
-  h.protocol = hr.u8();
-  h.checksum = hr.be16();
-  h.src.value = hr.be32();
-  h.dst.value = hr.be32();
-
-  // Verify: checksum over the header including the checksum field must be 0
-  // before complement, i.e. internet_checksum(header) == 0.
-  if (internet_checksum(raw) != 0) return std::nullopt;
-  return h;
+void Ipv4Header::serialize(BufWriter& w) const {
+  std::array<std::byte, kIpv4HeaderLen> hdr;
+  write(hdr);
+  w.bytes(hdr);
 }
 
 // ---------------------------------------------------------------------------
 // UDP
 // ---------------------------------------------------------------------------
 
-void UdpHeader::serialize(BufWriter& w) const {
-  w.be16(src_port);
-  w.be16(dst_port);
-  w.be16(length);
-  w.be16(checksum);
+void UdpHeader::write(std::span<std::byte, kUdpHeaderLen> out) const noexcept {
+  put16(out.data(), src_port);
+  put16(out.data() + 2, dst_port);
+  put16(out.data() + 4, length);
+  put16(out.data() + 6, checksum);
 }
 
-std::optional<UdpHeader> UdpHeader::parse(BufReader& r) {
-  UdpHeader h;
-  h.src_port = r.be16();
-  h.dst_port = r.be16();
-  h.length = r.be16();
-  h.checksum = r.be16();
-  if (!r.ok() || h.length < kUdpHeaderLen) return std::nullopt;
-  return h;
+void UdpHeader::serialize(BufWriter& w) const {
+  std::array<std::byte, kUdpHeaderLen> hdr;
+  write(hdr);
+  w.bytes(hdr);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,16 +98,18 @@ std::optional<UdpHeader> UdpHeader::parse(BufReader& r) {
 
 std::vector<std::byte> build_udp_frame(const UdpFrameSpec& spec,
                                        std::span<const std::byte> payload) {
-  std::vector<std::byte> out;
-  out.reserve(kEthernetHeaderLen + kIpv4HeaderLen + kUdpHeaderLen +
-              payload.size());
-  BufWriter w(out);
+  std::vector<std::byte> out(kUdpFrameHeaderLen + payload.size());
+  build_udp_frame_into(spec, payload, out);
+  return out;
+}
 
-  EthernetHeader eth;
-  eth.dst = spec.dst_mac;
-  eth.src = spec.src_mac;
-  eth.ether_type = kEtherTypeIpv4;
-  eth.serialize(w);
+void build_udp_frame_into(const UdpFrameSpec& spec,
+                          std::span<const std::byte> payload,
+                          std::span<std::byte> out) noexcept {
+  std::byte* p = out.data();
+  std::memcpy(p, spec.dst_mac.data(), spec.dst_mac.size());
+  std::memcpy(p + 6, spec.src_mac.data(), spec.src_mac.size());
+  put16(p + 12, kEtherTypeIpv4);
 
   Ipv4Header ip;
   ip.dscp = spec.dscp;
@@ -137,36 +119,59 @@ std::vector<std::byte> build_udp_frame(const UdpFrameSpec& spec,
   ip.protocol = spec.protocol;
   ip.src = spec.src_ip;
   ip.dst = spec.dst_ip;
-  ip.serialize(w);
+  ip.write(out.subspan<kIp, kIpv4HeaderLen>());
 
   UdpHeader udp;
   udp.src_port = spec.src_port;
   udp.dst_port = spec.dst_port;
   udp.length = static_cast<std::uint16_t>(kUdpHeaderLen + payload.size());
   udp.checksum = 0;  // RoCEv2 uses the iCRC; UDP checksum 0 is legal on IPv4
-  udp.serialize(w);
+  udp.write(out.subspan<kL4, kUdpHeaderLen>());
 
-  w.bytes(payload);
-  return out;
+  if (!payload.empty()) {
+    std::memcpy(p + kUdpFrameHeaderLen, payload.data(), payload.size());
+  }
 }
 
-std::optional<ParsedUdpFrame> parse_udp_frame(std::span<const std::byte> frame) {
-  BufReader r(frame);
-  const auto eth = EthernetHeader::parse(r);
-  if (!eth || eth->ether_type != kEtherTypeIpv4) return std::nullopt;
-  const auto ip = Ipv4Header::parse(r);
-  // Accept UDP and (simplified) TCP — both carry the uniform 8-byte L4
-  // header in this simulator; anything else is not parseable here.
-  if (!ip || (ip->protocol != kIpProtoUdp && ip->protocol != 6)) {
+std::optional<ParsedUdpFrame> parse_udp_frame(
+    std::span<const std::byte> frame) noexcept {
+  if (frame.size() < kUdpFrameHeaderLen) return std::nullopt;
+  const std::byte* p = frame.data();
+  if (get16(p + 12) != kEtherTypeIpv4 || p[kIp] != std::byte{0x45}) {
     return std::nullopt;
   }
-  const auto udp = UdpHeader::parse(r);
-  if (!udp) return std::nullopt;
-  const std::size_t payload_len = udp->length - kUdpHeaderLen;
-  if (r.remaining() < payload_len) return std::nullopt;
-  ParsedUdpFrame parsed{*eth, *ip, *udp, {}};
-  BufReader rr = r;  // keep r's position semantics simple
-  parsed.payload = rr.view(payload_len);
+  // UDP and (simplified) TCP both carry the uniform 8-byte L4 header in this
+  // simulator; anything else is not parseable here.
+  const auto protocol = std::to_integer<std::uint8_t>(p[kIp + 9]);
+  if (protocol != kIpProtoUdp && protocol != kIpProtoTcp) return std::nullopt;
+  const std::uint16_t udp_length = get16(p + kL4 + 4);
+  if (udp_length < kUdpHeaderLen ||
+      udp_length - kUdpHeaderLen > frame.size() - kUdpFrameHeaderLen) {
+    return std::nullopt;
+  }
+  // A header summed with its own checksum folds to zero.
+  if (internet_checksum(frame.subspan<kIp, kIpv4HeaderLen>()) != 0) {
+    return std::nullopt;
+  }
+
+  ParsedUdpFrame parsed;
+  std::memcpy(parsed.eth.dst.data(), p, parsed.eth.dst.size());
+  std::memcpy(parsed.eth.src.data(), p + 6, parsed.eth.src.size());
+  parsed.eth.ether_type = kEtherTypeIpv4;
+  parsed.ip.dscp = std::to_integer<std::uint8_t>(p[kIp + 1] >> 2);
+  parsed.ip.total_length = get16(p + kIp + 2);
+  parsed.ip.identification = get16(p + kIp + 4);
+  parsed.ip.ttl = std::to_integer<std::uint8_t>(p[kIp + 8]);
+  parsed.ip.protocol = protocol;
+  parsed.ip.checksum = get16(p + kIp + 10);
+  parsed.ip.src.value = get32(p + kIp + 12);
+  parsed.ip.dst.value = get32(p + kIp + 16);
+  parsed.udp.src_port = get16(p + kL4);
+  parsed.udp.dst_port = get16(p + kL4 + 2);
+  parsed.udp.length = udp_length;
+  parsed.udp.checksum = get16(p + kL4 + 6);
+  parsed.payload =
+      frame.subspan(kUdpFrameHeaderLen, udp_length - kUdpHeaderLen);
   return parsed;
 }
 

@@ -1,9 +1,13 @@
 // Wire headers for the simulated fabric: Ethernet II, IPv4, UDP.
 //
 // RoCEv2 reports crafted by DART switches are UDP datagrams (dst port 4791)
-// carried over IPv4/Ethernet (§6). Header structs here are *parsed forms*;
-// serialization goes through BufWriter so there is no packed-struct aliasing
-// and the code is endian-correct by construction.
+// carried over IPv4/Ethernet (§6). Header structs here are *parsed forms*.
+// Every frame of the simulator has one layout (Ethernet II, options-free
+// IPv4, an 8-byte L4 header), so build_udp_frame and parse_udp_frame write
+// and read it at constant offsets, byte by byte in network order: no
+// packed-struct aliasing, endian-correct by construction. The layered
+// per-header walk they replaced is the reference in
+// src/check/reference_headers.hpp.
 #pragma once
 
 #include <array>
@@ -46,9 +50,6 @@ struct EthernetHeader {
   MacAddr dst{};
   MacAddr src{};
   std::uint16_t ether_type = kEtherTypeIpv4;
-
-  void serialize(BufWriter& w) const;
-  [[nodiscard]] static std::optional<EthernetHeader> parse(BufReader& r);
 };
 
 // ---------------------------------------------------------------------------
@@ -56,6 +57,7 @@ struct EthernetHeader {
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint8_t kIpProtoUdp = 17;
+inline constexpr std::uint8_t kIpProtoTcp = 6;
 inline constexpr std::size_t kIpv4HeaderLen = 20;
 
 struct Ipv4Header {
@@ -64,14 +66,15 @@ struct Ipv4Header {
   std::uint16_t identification = 0;
   std::uint8_t ttl = 64;
   std::uint8_t protocol = kIpProtoUdp;
-  std::uint16_t checksum = 0;  // filled by serialize()
+  std::uint16_t checksum = 0;  // ignored by write(): it computes its own
   Ipv4Addr src{};
   Ipv4Addr dst{};
 
-  // Serializes with a correct header checksum.
+  // The one IPv4 header writer: the 20 bytes with a correct header checksum
+  // (flags and fragment offset 0).
+  void write(std::span<std::byte, kIpv4HeaderLen> out) const noexcept;
+  // Appends write()'s bytes.
   void serialize(BufWriter& w) const;
-  // Parses and verifies the checksum; nullopt on malformed/bad-checksum.
-  [[nodiscard]] static std::optional<Ipv4Header> parse(BufReader& r);
 };
 
 // ---------------------------------------------------------------------------
@@ -88,8 +91,10 @@ struct UdpHeader {
   std::uint16_t checksum = 0;  // 0 = not computed (legal for UDP/IPv4; RoCEv2
                                // relies on the iCRC instead)
 
+  // The one UDP header writer: the 8 bytes, fields as they are.
+  void write(std::span<std::byte, kUdpHeaderLen> out) const noexcept;
+  // Appends write()'s bytes.
   void serialize(BufWriter& w) const;
-  [[nodiscard]] static std::optional<UdpHeader> parse(BufReader& r);
 };
 
 // ---------------------------------------------------------------------------
@@ -111,9 +116,20 @@ struct UdpFrameSpec {
   std::uint8_t protocol = kIpProtoUdp;
 };
 
+// Ethernet + IPv4 + L4 header bytes in front of every payload.
+inline constexpr std::size_t kUdpFrameHeaderLen =
+    kEthernetHeaderLen + kIpv4HeaderLen + kUdpHeaderLen;
+
 // Serializes headers + payload into wire bytes.
 [[nodiscard]] std::vector<std::byte> build_udp_frame(
     const UdpFrameSpec& spec, std::span<const std::byte> payload);
+
+// The same bytes, written into the first kUdpFrameHeaderLen +
+// payload.size() bytes of `out`, which must hold them; the bytes past those
+// are left alone.
+void build_udp_frame_into(const UdpFrameSpec& spec,
+                          std::span<const std::byte> payload,
+                          std::span<std::byte> out) noexcept;
 
 struct ParsedUdpFrame {
   EthernetHeader eth;
@@ -122,8 +138,13 @@ struct ParsedUdpFrame {
   std::span<const std::byte> payload;  // view into the input buffer
 };
 
-// Parses an Ethernet+IPv4+UDP frame; nullopt on any malformed layer.
+// Parses an Ethernet+IPv4+UDP frame; nullopt on any malformed layer. It
+// accepts exactly when: the frame holds the 42 header bytes, the ethertype
+// is 0x0800, the version/IHL byte is 0x45, the IPv4 header checksum is
+// valid, the protocol is UDP or (simplified) TCP, and the UDP length is at
+// least 8 and within the frame. The payload is the UDP length's worth;
+// trailing bytes are ignored.
 [[nodiscard]] std::optional<ParsedUdpFrame> parse_udp_frame(
-    std::span<const std::byte> frame);
+    std::span<const std::byte> frame) noexcept;
 
 }  // namespace dart::net

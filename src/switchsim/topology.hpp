@@ -62,9 +62,28 @@ class FatTree {
   [[nodiscard]] std::uint32_t host_edge(std::uint32_t host) const noexcept;
   // 10.pod.edge.(2+index) — the classic fat-tree addressing scheme.
   [[nodiscard]] net::Ipv4Addr host_ip(std::uint32_t host) const noexcept;
-  // Inverse of host_ip; nullopt when no host of this tree has the address.
-  [[nodiscard]] std::optional<std::uint32_t> host_of_ip(
-      net::Ipv4Addr ip) const noexcept;
+
+  // Where a host sits: its id, its pod and its edge switch.
+  struct HostLocation {
+    std::uint32_t host = 0;
+    std::uint32_t pod = 0;
+    std::uint32_t edge = 0;  // switch id
+  };
+  // Inverse of host_ip, with the pod and edge switch read off the address
+  // bytes rather than divided back out of the host id; nullopt when no host
+  // of this tree has the address. Inline: every switch hop locates the
+  // destination.
+  [[nodiscard]] std::optional<HostLocation> locate(
+      net::Ipv4Addr ip) const noexcept {
+    const std::uint32_t pod = (ip.value >> 16) & 0xFF;
+    const std::uint32_t edge = (ip.value >> 8) & 0xFF;
+    const std::uint32_t idx = (ip.value & 0xFF) - 2;  // .0, .1 wrap past half_
+    if ((ip.value >> 24) != 10 || pod >= k_ || edge >= half_ || idx >= half_) {
+      return std::nullopt;
+    }
+    const std::uint32_t edge_switch = pod * half_ + edge;  // edge_id()
+    return HostLocation{edge_switch * half_ + idx, pod, edge_switch};
+  }
 
   // --- routing -------------------------------------------------------------
 

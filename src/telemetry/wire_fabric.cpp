@@ -1,5 +1,6 @@
 #include "telemetry/wire_fabric.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -29,8 +30,9 @@ FiveTuple original_tuple(const net::ParsedUdpFrame& frame) {
   return tuple;
 }
 
-// The ECMP flow hash every switch derives from the packet's original
-// 5-tuple; it matches FatTree::path for the original flow.
+// The ECMP flow hash a switch derives from the packet's original 5-tuple
+// where its tier picks among equal paths; it matches FatTree::path for the
+// original flow.
 std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
   const auto key = original_tuple(frame).key_bytes();
   return xxhash64(key, 0xECB9);
@@ -46,6 +48,20 @@ std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
   return net::Ipv4Addr{v};
 }
 
+// Switches on the longest path of a fat tree (edge, agg, core, agg, edge).
+constexpr std::size_t kLongestPathSwitches = 5;
+
+// The bytes the INT source edge inserts into a host's frame, at most: shim,
+// MD header and one hop per switch on the longest path, capped by
+// int_max_hops. A host frame built with this much spare capacity is never
+// reallocated on its way through the fabric.
+std::size_t int_room(const WireFabricConfig& config) {
+  const std::size_t hops =
+      std::min<std::size_t>(kLongestPathSwitches, config.int_max_hops);
+  return kIntShimLen + kIntMdLen +
+         hops * 4 * std::size_t{int_hop_words(config.int_instructions)};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -56,9 +72,9 @@ class HostNode final : public net::Node {
  public:
   HostNode(std::uint32_t host_id, net::Ipv4Addr ip,
            std::shared_ptr<const FabricDirectory> directory,
-           const switchsim::FatTree* topo)
+           const switchsim::FatTree* topo, std::size_t int_room)
       : host_id_(host_id), ip_(ip), directory_(std::move(directory)),
-        topo_(topo) {}
+        topo_(topo), int_room_(int_room) {}
 
   void receive(net::Packet packet, std::uint64_t) override {
     const auto parsed = net::parse_udp_frame(packet.bytes());
@@ -74,9 +90,13 @@ class HostNode final : public net::Node {
     spec.src_port = flow.src_port;
     spec.dst_port = flow.dst_port;
     spec.protocol = flow.protocol;
+    std::vector<std::byte> frame;
+    frame.reserve(net::kUdpFrameHeaderLen + payload.size() + int_room_);
+    frame.resize(net::kUdpFrameHeaderLen + payload.size());
+    net::build_udp_frame_into(spec, payload, frame);
     const auto edge = topo_->host_edge(host_id_);
     sim_->send(self_, directory_->switch_nodes[edge],
-               net::Packet(net::build_udp_frame(spec, payload)));
+               net::Packet(std::move(frame)));
     ++sent_;
   }
 
@@ -93,6 +113,7 @@ class HostNode final : public net::Node {
   net::Ipv4Addr ip_;
   std::shared_ptr<const FabricDirectory> directory_;
   const switchsim::FatTree* topo_;
+  std::size_t int_room_;  // spare frame capacity for the INT source's bytes
   std::uint64_t received_ = 0;
   std::uint64_t sent_ = 0;
 };
@@ -173,10 +194,11 @@ class ForwardingSwitch final : public net::Node {
     return hop;
   }
 
-  // Next-hop switch toward host `dst_host` (hash-based ECMP, mirrors
+  // Next-hop switch toward the host at `dst` (hash-based ECMP, mirrors
   // FatTree::path); only valid when this switch is not the destination edge.
-  [[nodiscard]] std::uint32_t next_hop_switch(const net::ParsedUdpFrame& parsed,
-                                              std::uint32_t dst_host) const;
+  [[nodiscard]] std::uint32_t next_hop_switch(
+      const net::ParsedUdpFrame& parsed,
+      const switchsim::FatTree::HostLocation& dst) const;
 
   void deliver_reports(std::span<const std::byte> key,
                        std::span<const std::byte> value);
@@ -242,9 +264,8 @@ void ForwardingSwitch::maybe_emit_postcard(const net::ParsedUdpFrame& parsed,
 
 void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
   auto parsed = net::parse_udp_frame(packet.bytes());
-  const auto dst_host =
-      parsed ? topo_->host_of_ip(parsed->ip.dst) : std::nullopt;
-  if (!dst_host) {
+  const auto dst = parsed ? topo_->locate(parsed->ip.dst) : std::nullopt;
+  if (!dst) {
     // Unparsable, or addressed to no host of this fabric.
     ++stats_.routing_drops;
     return;
@@ -254,20 +275,16 @@ void ForwardingSwitch::receive(net::Packet packet, std::uint64_t now_ns) {
   // The INT source is the edge of the packet's source host, whatever port
   // the host chose; past it, every frame of the fabric carries INT.
   const bool is_edge = self_ref_.tier == switchsim::SwitchTier::kEdge;
-  const auto src_host =
-      is_edge ? topo_->host_of_ip(parsed->ip.src) : std::nullopt;
-  const bool i_am_src_edge =
-      src_host && topo_->host_edge(*src_host) == self_ref_.id;
+  const auto src = is_edge ? topo_->locate(parsed->ip.src) : std::nullopt;
+  const bool i_am_src_edge = src && src->edge == self_ref_.id;
   const bool is_int = parsed->udp.dst_port == kIntUdpPort;
-  const bool i_am_dst_edge =
-      is_edge && topo_->host_edge(*dst_host) == self_ref_.id;
+  const bool i_am_dst_edge = is_edge && dst->edge == self_ref_.id;
 
   // The packet's egress (needed up front: hop metadata samples the real
   // queue depth of the link it is about to cross).
   const net::NodeId egress =
-      i_am_dst_edge
-          ? directory_->host_nodes[*dst_host]
-          : directory_->switch_nodes[next_hop_switch(*parsed, *dst_host)];
+      i_am_dst_edge ? directory_->host_nodes[dst->host]
+                    : directory_->switch_nodes[next_hop_switch(*parsed, *dst)];
 
   // --- INT: the source encapsulates, transits push, all in the frame ------
   // Only the port and payload views are refreshed: what follows (postcards,
@@ -317,25 +334,25 @@ void ForwardingSwitch::sink(net::Packet& packet,
 }
 
 std::uint32_t ForwardingSwitch::next_hop_switch(
-    const net::ParsedUdpFrame& parsed, std::uint32_t dst_host) const {
+    const net::ParsedUdpFrame& parsed,
+    const switchsim::FatTree::HostLocation& dst) const {
+  // Only the uplink choices hash the flow: an edge picks its aggregation
+  // switch, an aggregation switch its core. The way down is fixed.
   const std::uint32_t half = topo_->k() / 2;
-  const std::uint64_t hash = flow_hash_of(parsed);
-  const std::uint32_t dst_pod = topo_->host_pod(dst_host);
-  const auto agg_choice = static_cast<std::uint32_t>(hash % half);
-
   switch (self_ref_.tier) {
-    case switchsim::SwitchTier::kEdge:
+    case switchsim::SwitchTier::kEdge: {
+      const auto agg_choice =
+          static_cast<std::uint32_t>(flow_hash_of(parsed) % half);
       return topo_->agg_id(self_ref_.pod, agg_choice);
-    case switchsim::SwitchTier::kAggregation:
-      if (dst_pod == self_ref_.pod) {
-        return topo_->host_edge(dst_host);
-      } else {
-        const auto core_choice =
-            static_cast<std::uint32_t>((hash / half) % half);
-        return topo_->core_id(self_ref_.index * half + core_choice);
-      }
+    }
+    case switchsim::SwitchTier::kAggregation: {
+      if (dst.pod == self_ref_.pod) return dst.edge;
+      const auto core_choice =
+          static_cast<std::uint32_t>((flow_hash_of(parsed) / half) % half);
+      return topo_->core_id(self_ref_.index * half + core_choice);
+    }
     case switchsim::SwitchTier::kCore:
-      return topo_->agg_id(dst_pod, self_ref_.index / half);
+      return topo_->agg_id(dst.pod, self_ref_.index / half);
   }
   return 0;
 }
@@ -371,8 +388,8 @@ WireFabric::WireFabric(const WireFabricConfig& config)
   }
   // Hosts.
   for (std::uint32_t h = 0; h < topo_.n_hosts(); ++h) {
-    hosts_.push_back(std::make_unique<HostNode>(h, topo_.host_ip(h),
-                                                directory_, &topo_));
+    hosts_.push_back(std::make_unique<HostNode>(
+        h, topo_.host_ip(h), directory_, &topo_, int_room(config)));
     directory_->host_nodes.push_back(sim_.add_node(*hosts_.back()));
   }
 
@@ -666,9 +683,9 @@ net::NodeId WireFabric::sim_node_of(net::Ipv4Addr ip) const {
 
 void WireFabric::send_flow(const FiveTuple& flow, std::uint32_t src_host,
                            std::uint32_t count, std::size_t payload_bytes) {
-  std::vector<std::byte> payload(payload_bytes, std::byte{0x5A});
+  payload_.assign(payload_bytes, std::byte{0x5A});
   for (std::uint32_t i = 0; i < count; ++i) {
-    hosts_[src_host]->send_udp(flow, payload);
+    hosts_[src_host]->send_udp(flow, payload_);
   }
 }
 

