@@ -1,9 +1,10 @@
 // Allocation guard for the WireFabric INT path. Once a fabric is warm, a
-// data packet may cost at most 5 heap allocations end to end: its host
-// frame (and a share of send_flow's payload buffer), the INT source's
-// growth of that frame, and the N = 2 report frames the sink's DART
-// pipeline crafts. Source, transit and sink edit the frame in place and the
-// report path reuses its buffers, so nothing else allocates per hop.
+// data packet may cost at most 3.5 heap allocations end to end (it measures
+// 3.03): its host frame, built with room for the INT the source edge
+// inserts, and the N = 2 report frames the sink's DART pipeline crafts.
+// send_flow reuses one payload buffer; source, transit and sink edit the
+// frame in place without growing it, and the report path reuses its
+// buffers, so nothing else allocates per hop.
 //
 // A binary of its own: it replaces the global operator new with a counting
 // one.
@@ -70,7 +71,7 @@ TEST(WireFabricAllocations, AtMostFivePerDataPacketOnceWarm) {
   ASSERT_EQ(packets, 8u * 64u * 2u);
   EXPECT_EQ(st.host_packets_received, st.host_packets_sent);
   EXPECT_EQ(st.reports_emitted - reports_before, 2 * packets);
-  EXPECT_LE(allocations, 5 * packets);
+  EXPECT_LE(2 * allocations, 7 * packets);  // at most 3.5 per packet
 }
 
 }  // namespace
