@@ -63,6 +63,40 @@ constexpr bool kHostIsLittleEndian =
 }
 
 // ---------------------------------------------------------------------------
+// Big-endian loads and stores at a byte pointer, for code that reads and
+// writes a fixed header layout in place (frame parsers and deparsers,
+// template patching). The caller guarantees the bytes are there.
+// ---------------------------------------------------------------------------
+
+[[nodiscard]] inline std::uint16_t load_be16(const std::byte* p) noexcept {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return net_to_host16(v);
+}
+[[nodiscard]] inline std::uint32_t load_be32(const std::byte* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return net_to_host32(v);
+}
+[[nodiscard]] inline std::uint64_t load_be64(const std::byte* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return net_to_host64(v);
+}
+inline void store_be16(std::byte* p, std::uint16_t v) noexcept {
+  v = host_to_net16(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+inline void store_be32(std::byte* p, std::uint32_t v) noexcept {
+  v = host_to_net32(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+inline void store_be64(std::byte* p, std::uint64_t v) noexcept {
+  v = host_to_net64(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+// ---------------------------------------------------------------------------
 // BufWriter — append-only serializer over a growable byte vector.
 // ---------------------------------------------------------------------------
 

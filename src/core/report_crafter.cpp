@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "rdma/multiwrite.hpp"
 #include "rdma/roce.hpp"
 
@@ -31,16 +32,6 @@ void put_be24(std::byte* p, std::uint32_t v) noexcept {
   p[0] = static_cast<std::byte>((v >> 16) & 0xFF);
   p[1] = static_cast<std::byte>((v >> 8) & 0xFF);
   p[2] = static_cast<std::byte>(v & 0xFF);
-}
-
-void put_be32(std::byte* p, std::uint32_t v) noexcept {
-  const std::uint32_t be = host_to_net32(v);
-  std::memcpy(p, &be, sizeof(be));
-}
-
-void put_be64(std::byte* p, std::uint64_t v) noexcept {
-  const std::uint64_t be = host_to_net64(v);
-  std::memcpy(p, &be, sizeof(be));
 }
 
 std::vector<std::byte> udp_frame(const RemoteStoreInfo& dst,
@@ -186,7 +177,7 @@ std::size_t ReportCrafter::patch_reth_write(const FrameTemplate& tpl,
                                             std::span<std::byte> out) {
   std::memcpy(out.data(), tpl.prototype_.data(), tpl.prototype_.size());
   put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
-  put_be64(out.data() + kRethVaddrOff, vaddr);
+  store_be64(out.data() + kRethVaddrOff, vaddr);
   std::byte* p = out.data() + kWritePayloadOff;
   for (std::uint32_t i = 0; i < tag_bytes; ++i) {
     *p++ = static_cast<std::byte>((tag >> (8 * i)) & 0xFF);
@@ -279,8 +270,8 @@ std::size_t ReportCrafter::craft_fetch_add_into(const FrameTemplate& tpl,
   if (!tpl.fits(FrameTemplate::Kind::kFetchAdd, out.size())) return 0;
   std::memcpy(out.data(), tpl.prototype_.data(), tpl.prototype_.size());
   put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
-  put_be64(out.data() + kAtomicVaddrOff, vaddr);
-  put_be64(out.data() + kAtomicSwapOff, addend);
+  store_be64(out.data() + kAtomicVaddrOff, vaddr);
+  store_be64(out.data() + kAtomicSwapOff, addend);
   return seal_icrc(tpl, out);
 }
 
@@ -290,9 +281,9 @@ std::size_t ReportCrafter::craft_compare_swap_into(
   if (!tpl.fits(FrameTemplate::Kind::kCompareSwap, out.size())) return 0;
   std::memcpy(out.data(), tpl.prototype_.data(), tpl.prototype_.size());
   put_be24(out.data() + kPsnOff, psn & 0xFF'FFFFu);
-  put_be64(out.data() + kAtomicVaddrOff, vaddr);
-  put_be64(out.data() + kAtomicSwapOff, swap);
-  put_be64(out.data() + kAtomicCompareOff, compare);
+  store_be64(out.data() + kAtomicVaddrOff, vaddr);
+  store_be64(out.data() + kAtomicSwapOff, swap);
+  store_be64(out.data() + kAtomicCompareOff, compare);
   return seal_icrc(tpl, out);
 }
 
@@ -304,7 +295,7 @@ std::size_t ReportCrafter::craft_multiwrite_into(
   assert(value.size() == config_.value_bytes);
   const std::size_t len = tpl.prototype_.size();
   std::memcpy(out.data(), tpl.prototype_.data(), len);
-  put_be32(out.data() + kDtaPsnOff, psn);
+  store_be32(out.data() + kDtaPsnOff, psn);
   std::byte* p = out.data() + kDtaDataOff;
   const std::uint32_t csum = hashes_.checksum_of(key, config_.checksum_bits);
   for (std::uint32_t i = 0; i < config_.checksum_bytes(); ++i) {
@@ -317,11 +308,11 @@ std::size_t ReportCrafter::craft_multiwrite_into(
     hashes_.addresses_of(key, tpl.dst_.n_slots,
                          std::span(addrs.data(), config_.n_addresses));
     for (std::uint32_t n = 0; n < config_.n_addresses; ++n) {
-      put_be64(p + 8 * n, tpl.dst_.slot_vaddr(addrs[n]));
+      store_be64(p + 8 * n, tpl.dst_.slot_vaddr(addrs[n]));
     }
   } else {
     for (std::uint32_t n = 0; n < config_.n_addresses; ++n) {
-      put_be64(p + 8 * n, slot_vaddr(tpl.dst_, key, n));
+      store_be64(p + 8 * n, slot_vaddr(tpl.dst_, key, n));
     }
   }
   const std::size_t crc_off = len - rdma::kDtaCrcLen;

@@ -28,25 +28,6 @@ namespace {
 constexpr std::size_t kIp = kEthernetHeaderLen;
 constexpr std::size_t kL4 = kIp + kIpv4HeaderLen;
 
-void put16(std::byte* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<std::byte>(v >> 8);
-  p[1] = static_cast<std::byte>(v & 0xFF);
-}
-
-void put32(std::byte* p, std::uint32_t v) noexcept {
-  put16(p, static_cast<std::uint16_t>(v >> 16));
-  put16(p + 2, static_cast<std::uint16_t>(v & 0xFFFF));
-}
-
-[[nodiscard]] std::uint16_t get16(const std::byte* p) noexcept {
-  return static_cast<std::uint16_t>((std::to_integer<unsigned>(p[0]) << 8) |
-                                    std::to_integer<unsigned>(p[1]));
-}
-
-[[nodiscard]] std::uint32_t get32(const std::byte* p) noexcept {
-  return (std::uint32_t{get16(p)} << 16) | get16(p + 2);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -58,15 +39,15 @@ void Ipv4Header::write(
   std::byte* p = out.data();
   p[0] = std::byte{0x45};  // version 4, IHL 5
   p[1] = static_cast<std::byte>(dscp << 2);
-  put16(p + 2, total_length);
-  put16(p + 4, identification);
-  put16(p + 6, 0);  // flags + fragment offset: DF not modeled
+  store_be16(p + 2, total_length);
+  store_be16(p + 4, identification);
+  store_be16(p + 6, 0);  // flags + fragment offset: DF not modeled
   p[8] = static_cast<std::byte>(ttl);
   p[9] = static_cast<std::byte>(protocol);
-  put16(p + 10, 0);
-  put32(p + 12, src.value);
-  put32(p + 16, dst.value);
-  put16(p + 10, internet_checksum(out));
+  store_be16(p + 10, 0);
+  store_be32(p + 12, src.value);
+  store_be32(p + 16, dst.value);
+  store_be16(p + 10, internet_checksum(out));
 }
 
 void Ipv4Header::serialize(BufWriter& w) const {
@@ -80,10 +61,10 @@ void Ipv4Header::serialize(BufWriter& w) const {
 // ---------------------------------------------------------------------------
 
 void UdpHeader::write(std::span<std::byte, kUdpHeaderLen> out) const noexcept {
-  put16(out.data(), src_port);
-  put16(out.data() + 2, dst_port);
-  put16(out.data() + 4, length);
-  put16(out.data() + 6, checksum);
+  store_be16(out.data(), src_port);
+  store_be16(out.data() + 2, dst_port);
+  store_be16(out.data() + 4, length);
+  store_be16(out.data() + 6, checksum);
 }
 
 void UdpHeader::serialize(BufWriter& w) const {
@@ -109,7 +90,7 @@ void build_udp_frame_into(const UdpFrameSpec& spec,
   std::byte* p = out.data();
   std::memcpy(p, spec.dst_mac.data(), spec.dst_mac.size());
   std::memcpy(p + 6, spec.src_mac.data(), spec.src_mac.size());
-  put16(p + 12, kEtherTypeIpv4);
+  store_be16(p + 12, kEtherTypeIpv4);
 
   Ipv4Header ip;
   ip.dscp = spec.dscp;
@@ -137,14 +118,14 @@ std::optional<ParsedUdpFrame> parse_udp_frame(
     std::span<const std::byte> frame) noexcept {
   if (frame.size() < kUdpFrameHeaderLen) return std::nullopt;
   const std::byte* p = frame.data();
-  if (get16(p + 12) != kEtherTypeIpv4 || p[kIp] != std::byte{0x45}) {
+  if (load_be16(p + 12) != kEtherTypeIpv4 || p[kIp] != std::byte{0x45}) {
     return std::nullopt;
   }
   // UDP and (simplified) TCP both carry the uniform 8-byte L4 header in this
   // simulator; anything else is not parseable here.
   const auto protocol = std::to_integer<std::uint8_t>(p[kIp + 9]);
   if (protocol != kIpProtoUdp && protocol != kIpProtoTcp) return std::nullopt;
-  const std::uint16_t udp_length = get16(p + kL4 + 4);
+  const std::uint16_t udp_length = load_be16(p + kL4 + 4);
   if (udp_length < kUdpHeaderLen ||
       udp_length - kUdpHeaderLen > frame.size() - kUdpFrameHeaderLen) {
     return std::nullopt;
@@ -159,17 +140,17 @@ std::optional<ParsedUdpFrame> parse_udp_frame(
   std::memcpy(parsed.eth.src.data(), p + 6, parsed.eth.src.size());
   parsed.eth.ether_type = kEtherTypeIpv4;
   parsed.ip.dscp = std::to_integer<std::uint8_t>(p[kIp + 1] >> 2);
-  parsed.ip.total_length = get16(p + kIp + 2);
-  parsed.ip.identification = get16(p + kIp + 4);
+  parsed.ip.total_length = load_be16(p + kIp + 2);
+  parsed.ip.identification = load_be16(p + kIp + 4);
   parsed.ip.ttl = std::to_integer<std::uint8_t>(p[kIp + 8]);
   parsed.ip.protocol = protocol;
-  parsed.ip.checksum = get16(p + kIp + 10);
-  parsed.ip.src.value = get32(p + kIp + 12);
-  parsed.ip.dst.value = get32(p + kIp + 16);
-  parsed.udp.src_port = get16(p + kL4);
-  parsed.udp.dst_port = get16(p + kL4 + 2);
+  parsed.ip.checksum = load_be16(p + kIp + 10);
+  parsed.ip.src.value = load_be32(p + kIp + 12);
+  parsed.ip.dst.value = load_be32(p + kIp + 16);
+  parsed.udp.src_port = load_be16(p + kL4);
+  parsed.udp.dst_port = load_be16(p + kL4 + 2);
   parsed.udp.length = udp_length;
-  parsed.udp.checksum = get16(p + kL4 + 6);
+  parsed.udp.checksum = load_be16(p + kL4 + 6);
   parsed.payload =
       frame.subspan(kUdpFrameHeaderLen, udp_length - kUdpHeaderLen);
   return parsed;

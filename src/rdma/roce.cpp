@@ -309,27 +309,6 @@ bool verify_frame_icrc(std::span<const std::byte> frame) {
 // Fused single-pass classification
 // ---------------------------------------------------------------------------
 
-namespace {
-
-[[nodiscard]] inline std::uint16_t load_be16(const std::byte* p) noexcept {
-  return static_cast<std::uint16_t>(
-      (std::to_integer<std::uint16_t>(p[0]) << 8) |
-      std::to_integer<std::uint16_t>(p[1]));
-}
-
-[[nodiscard]] inline std::uint32_t load_be32(const std::byte* p) noexcept {
-  return (std::to_integer<std::uint32_t>(p[0]) << 24) |
-         (std::to_integer<std::uint32_t>(p[1]) << 16) |
-         (std::to_integer<std::uint32_t>(p[2]) << 8) |
-         std::to_integer<std::uint32_t>(p[3]);
-}
-
-[[nodiscard]] inline std::uint64_t load_be64(const std::byte* p) noexcept {
-  return (static_cast<std::uint64_t>(load_be32(p)) << 32) | load_be32(p + 4);
-}
-
-}  // namespace
-
 WireClass classify_wire_frame(std::span<const std::byte> frame,
                               bool check_icrc) noexcept {
   using V = WireClass::Verdict;

@@ -81,7 +81,6 @@ net::Ipv4Addr FatTree::host_ip(std::uint32_t host) const noexcept {
                                     static_cast<std::uint8_t>(2 + idx));
 }
 
-
 std::vector<std::uint32_t> FatTree::path(std::uint32_t src_host,
                                          std::uint32_t dst_host,
                                          std::uint64_t flow_hash) const {

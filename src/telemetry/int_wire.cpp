@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "net/checksum.hpp"
 #include "net/headers.hpp"
 
@@ -31,26 +32,6 @@ namespace {
 //   md[6..7] = domain id (big-endian)
 constexpr std::uint8_t kShimTypeIntMd = 0x01;
 
-void put_be16(std::byte* p, std::uint16_t v) {
-  p[0] = static_cast<std::byte>(v >> 8);
-  p[1] = static_cast<std::byte>(v & 0xFF);
-}
-
-[[nodiscard]] std::uint16_t get_be16(const std::byte* p) {
-  return static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(p[0])) << 8) |
-      static_cast<std::uint8_t>(p[1]));
-}
-
-void put_be32(std::byte* p, std::uint32_t v) {
-  put_be16(p, static_cast<std::uint16_t>(v >> 16));
-  put_be16(p + 2, static_cast<std::uint16_t>(v & 0xFFFF));
-}
-
-[[nodiscard]] std::uint32_t get_be32(const std::byte* p) {
-  return (static_cast<std::uint32_t>(get_be16(p)) << 16) | get_be16(p + 2);
-}
-
 constexpr std::size_t kIntHeaderLen = kIntShimLen + kIntMdLen;
 constexpr std::size_t kMaxHopBytes = 12;  // three supported words
 
@@ -69,7 +50,7 @@ constexpr std::size_t kPayload = kUdp + net::kUdpHeaderLen;
   if (p.size() < kIntHeaderLen + std::size_t{stack_words} * 4) {
     return false;
   }
-  const std::uint8_t hop_words = int_hop_words(get_be16(p.data() + 8));
+  const std::uint8_t hop_words = int_hop_words(load_be16(p.data() + 8));
   return stack_words == 0 || (hop_words != 0 && stack_words % hop_words == 0);
 }
 
@@ -77,7 +58,7 @@ constexpr std::size_t kPayload = kUdp + net::kUdpHeaderLen;
 // supported field, finds room: a hop remains, and the 8-bit stack word
 // count can take the hop's words.
 [[nodiscard]] bool has_room(std::span<const std::byte> p) noexcept {
-  const unsigned hop_words = int_hop_words(get_be16(p.data() + 8));
+  const unsigned hop_words = int_hop_words(load_be16(p.data() + 8));
   return static_cast<std::uint8_t>(p[6]) != 0 &&
          static_cast<std::uint8_t>(p[1]) + hop_words <= 0xFF;
 }
@@ -88,15 +69,15 @@ std::size_t encode_hop(const IntHopMetadata& hop, std::uint16_t instructions,
                        std::byte* words) noexcept {
   std::size_t off = 0;
   if (instructions & kIntInsSwitchId) {
-    put_be32(words + off, hop.switch_id);
+    store_be32(words + off, hop.switch_id);
     off += 4;
   }
   if (instructions & kIntInsHopLatency) {
-    put_be32(words + off, hop.hop_latency_ns);
+    store_be32(words + off, hop.hop_latency_ns);
     off += 4;
   }
   if (instructions & kIntInsQueueDepth) {
-    put_be32(words + off, hop.queue_depth);
+    store_be32(words + off, hop.queue_depth);
     off += 4;
   }
   return off;
@@ -108,14 +89,14 @@ std::size_t encode_hop(const IntHopMetadata& hop, std::uint16_t instructions,
   IntHopMetadata hop;
   std::size_t off = 0;
   if (instructions & kIntInsSwitchId) {
-    hop.switch_id = get_be32(words + off);
+    hop.switch_id = load_be32(words + off);
     off += 4;
   }
   if (instructions & kIntInsHopLatency) {
-    hop.hop_latency_ns = get_be32(words + off);
+    hop.hop_latency_ns = load_be32(words + off);
     off += 4;
   }
-  if (instructions & kIntInsQueueDepth) hop.queue_depth = get_be32(words + off);
+  if (instructions & kIntInsQueueDepth) hop.queue_depth = load_be32(words + off);
   return hop;
 }
 
@@ -128,7 +109,7 @@ std::size_t begin_push(std::span<std::byte> payload, const IntHopMetadata& hop,
   // A switch only operates on structurally valid INT packets: a payload
   // that fails the acceptance rule is left untouched.
   if (!well_formed(payload)) return 0;
-  const std::uint16_t instructions = get_be16(payload.data() + 8);
+  const std::uint16_t instructions = load_be16(payload.data() + 8);
   const std::uint8_t hop_words = int_hop_words(instructions);
   if (hop_words == 0) return 0;
   if (!has_room(payload)) {
@@ -148,7 +129,7 @@ std::size_t begin_push(std::span<std::byte> payload, const IntHopMetadata& hop,
 // The UDP payload length of a frame net::parse_udp_frame accepts.
 [[nodiscard]] std::size_t udp_payload_len(
     std::span<const std::byte> frame) noexcept {
-  return get_be16(frame.data() + kUdp + 4) - net::kUdpHeaderLen;
+  return load_be16(frame.data() + kUdp + 4) - net::kUdpHeaderLen;
 }
 
 // What the deparser writes around the `payload_len`-byte UDP payload at
@@ -161,20 +142,20 @@ std::span<const std::byte> deparse(net::Packet& frame, std::uint16_t dst_port,
                                    std::size_t payload_len) {
   frame.truncate(kPayload + payload_len);
   const auto out = frame.mutable_bytes();
-  put_be16(out.data() + kUdp + 2, dst_port);
-  put_be16(out.data() + kUdp + 4,
+  store_be16(out.data() + kUdp + 2, dst_port);
+  store_be16(out.data() + kUdp + 4,
            static_cast<std::uint16_t>(net::kUdpHeaderLen + payload_len));
-  put_be16(out.data() + kUdp + 6, 0);
+  store_be16(out.data() + kUdp + 6, 0);
   out[kIp + 1] = static_cast<std::byte>(
       static_cast<std::uint8_t>(out[kIp + 1]) & 0xFC);
-  put_be16(out.data() + kIp + 2,
+  store_be16(out.data() + kIp + 2,
            static_cast<std::uint16_t>(net::kIpv4HeaderLen +
                                       net::kUdpHeaderLen + payload_len));
-  put_be32(out.data() + kIp + 4, 0);
+  store_be32(out.data() + kIp + 4, 0);
   const auto ttl = static_cast<std::uint8_t>(out[kIp + 8]);
   out[kIp + 8] = static_cast<std::byte>(ttl > 0 ? ttl - 1 : 0);
-  put_be16(out.data() + kIp + 10, 0);
-  put_be16(out.data() + kIp + 10,
+  store_be16(out.data() + kIp + 10, 0);
+  store_be16(out.data() + kIp + 10,
            net::internet_checksum(out.subspan(kIp, net::kIpv4HeaderLen)));
   return frame.bytes().subspan(kPayload, payload_len);
 }
@@ -191,13 +172,13 @@ std::span<const std::byte> int_source_push_frame(net::Packet& frame,
   std::array<std::byte, kIntHeaderLen + kMaxHopBytes> head{};
   head[0] = static_cast<std::byte>(kShimTypeIntMd);
   head[1] = std::byte{0};
-  put_be16(head.data() + 2, get_be16(frame.bytes().data() + kUdp + 2));
+  store_be16(head.data() + 2, load_be16(frame.bytes().data() + kUdp + 2));
   head[4] = static_cast<std::byte>((md.version << 4) | (md.exceeded ? 1 : 0));
   head[5] = static_cast<std::byte>(md.hop_words);
   head[6] = static_cast<std::byte>(md.remaining_hops);
   head[7] = std::byte{0};
-  put_be16(head.data() + 8, md.instructions);
-  put_be16(head.data() + 10, md.domain_id);
+  store_be16(head.data() + 8, md.instructions);
+  store_be16(head.data() + 10, md.domain_id);
   const std::size_t n = begin_push(std::span(head).first(kIntHeaderLen), hop,
                                    head.data() + kIntHeaderLen);
 
@@ -224,7 +205,7 @@ std::span<const std::byte> int_transit_push_frame(net::Packet& frame,
 std::optional<std::uint16_t> int_original_dst_port(
     std::span<const std::byte> udp_payload) noexcept {
   if (!well_formed(udp_payload)) return std::nullopt;
-  return get_be16(udp_payload.data() + 2);
+  return load_be16(udp_payload.data() + 2);
 }
 
 std::optional<bool> int_sink_owes_hop(std::span<const std::byte> udp_payload,
@@ -232,9 +213,9 @@ std::optional<bool> int_sink_owes_hop(std::span<const std::byte> udp_payload,
   if (!well_formed(udp_payload)) return std::nullopt;
   if (udp_payload[1] == std::byte{0}) return true;  // no hop on the stack
   // The newest hop is the first entry, its switch id the entry's first word.
-  const std::uint16_t instructions = get_be16(udp_payload.data() + 8);
+  const std::uint16_t instructions = load_be16(udp_payload.data() + 8);
   const std::uint32_t newest = (instructions & kIntInsSwitchId)
-                                   ? get_be32(udp_payload.data() + kIntHeaderLen)
+                                   ? load_be32(udp_payload.data() + kIntHeaderLen)
                                    : 0;
   return newest != wire_id;
 }
@@ -248,7 +229,7 @@ IntSinkResult int_sink_pop_frame(net::Packet& frame,
   const std::size_t payload_len = udp_payload_len(bytes);
   const std::byte* payload = bytes.data() + kPayload;
   assert(well_formed({payload, payload_len}));
-  const std::uint16_t instructions = get_be16(payload + 8);
+  const std::uint16_t instructions = load_be16(payload + 8);
   const std::size_t hop_bytes = std::size_t{int_hop_words(instructions)} * 4;
   const std::size_t stack_bytes =
       std::size_t{static_cast<std::uint8_t>(payload[1])} * 4;
@@ -273,12 +254,12 @@ IntSinkResult int_sink_pop_frame(net::Packet& frame,
     const IntHopMetadata hop = decode_hop(entry, instructions);
     result.max_queue_depth = std::max(result.max_queue_depth, hop.queue_depth);
     if (result.value_written && h < kept) {
-      put_be32(value.data() + h * 4, hop.switch_id);
+      store_be32(value.data() + h * 4, hop.switch_id);
     }
   }
   result.overhead_bytes = kIntHeaderLen + stack_bytes + (own ? hop_bytes : 0);
 
-  const std::uint16_t original_dst_port = get_be16(payload + 2);
+  const std::uint16_t original_dst_port = load_be16(payload + 2);
   const std::size_t inner_len = payload_len - kIntHeaderLen - stack_bytes;
   std::memmove(bytes.data() + kPayload,
                payload + kIntHeaderLen + stack_bytes, inner_len);

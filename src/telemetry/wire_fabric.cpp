@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "obs/adapters.hpp"
 #include "telemetry/backends.hpp"
@@ -40,12 +41,7 @@ std::uint64_t flow_hash_of(const net::ParsedUdpFrame& frame) {
 
 // The destination IPv4 address of a frame net::parse_udp_frame accepts.
 [[nodiscard]] net::Ipv4Addr ipv4_dst_of(std::span<const std::byte> frame) {
-  constexpr std::size_t kDst = net::kEthernetHeaderLen + 16;
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v = (v << 8) | static_cast<std::uint8_t>(frame[kDst + i]);
-  }
-  return net::Ipv4Addr{v};
+  return net::Ipv4Addr{load_be32(frame.data() + net::kEthernetHeaderLen + 16)};
 }
 
 // Switches on the longest path of a fat tree (edge, agg, core, agg, edge).
@@ -705,18 +701,10 @@ std::optional<IntHopMetadata> WireFabric::query_postcard(
   const auto result = cluster_->query(key);
   if (result.outcome != core::QueryOutcome::kFound) return std::nullopt;
   if (result.value.size() < 12) return std::nullopt;
-  auto be32 = [&](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v = (v << 8) | static_cast<std::uint8_t>(
-                         result.value[off + static_cast<std::size_t>(i)]);
-    }
-    return v;
-  };
   IntHopMetadata hop;
-  hop.switch_id = be32(0);
-  hop.queue_depth = be32(4);
-  hop.hop_latency_ns = be32(8);
+  hop.switch_id = load_be32(result.value.data());
+  hop.queue_depth = load_be32(result.value.data() + 4);
+  hop.hop_latency_ns = load_be32(result.value.data() + 8);
   return hop;
 }
 

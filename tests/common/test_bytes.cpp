@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 namespace dart {
 namespace {
 
@@ -33,6 +37,24 @@ TEST(HostNet, RoundTrips) {
   EXPECT_EQ(net_to_host32(host_to_net32(0xDEADBEEFu)), 0xDEADBEEFu);
   EXPECT_EQ(net_to_host64(host_to_net64(0x0123456789ABCDEFull)),
             0x0123456789ABCDEFull);
+}
+
+// The pointer loads and stores read and write network order at an
+// unaligned offset, and agree with BufWriter's bytes.
+TEST(HostNet, LoadsAndStoresAtPointer) {
+  std::array<std::byte, 15> buf{};
+  store_be16(buf.data() + 1, 0x1234);
+  store_be32(buf.data() + 3, 0x89ABCDEFu);
+  store_be64(buf.data() + 7, 0x0102030405060708ull);
+  std::vector<std::byte> want{std::byte{0}};
+  BufWriter w(want);
+  w.be16(0x1234);
+  w.be32(0x89ABCDEFu);
+  w.be64(0x0102030405060708ull);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.begin()));
+  EXPECT_EQ(load_be16(buf.data() + 1), 0x1234);
+  EXPECT_EQ(load_be32(buf.data() + 3), 0x89ABCDEFu);
+  EXPECT_EQ(load_be64(buf.data() + 7), 0x0102030405060708ull);
 }
 
 TEST(BufWriter, WritesBigEndian) {
