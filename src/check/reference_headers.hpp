@@ -40,12 +40,11 @@ namespace dart::check {
 [[nodiscard]] std::optional<net::ParsedUdpFrame> reference_parse_udp_frame(
     std::span<const std::byte> frame);
 
-// Per-header serializers; the IPv4 one computes the header checksum.
+// The Ethernet header, one append per field.
 void reference_serialize_ethernet(const net::EthernetHeader& h, BufWriter& w);
-void reference_serialize_ipv4(const net::Ipv4Header& h, BufWriter& w);
-void reference_serialize_udp(const net::UdpHeader& h, BufWriter& w);
 
-// Headers + payload, one append per field.
+// Headers + payload, one append per field; the IPv4 header checksum is the
+// 16-bit loop's.
 [[nodiscard]] std::vector<std::byte> reference_build_udp_frame(
     const net::UdpFrameSpec& spec, std::span<const std::byte> payload);
 
