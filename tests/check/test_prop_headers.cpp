@@ -128,7 +128,6 @@ enum class Damage : std::uint8_t {
 };
 
 struct ParseCoverage {
-  std::uint64_t frames = 0;
   std::uint64_t accepted = 0;
   std::uint64_t accepted_tcp = 0;
   std::uint64_t rejected = 0;
@@ -144,7 +143,6 @@ std::optional<Failure> parse_property(Rng& rng, ParseCoverage& cov) {
   std::optional<Failure> failure;
   const auto diff = [&cov, &failure](std::span<const std::byte> frame) {
     if (failure) return;
-    ++cov.frames;
     if (const auto accepted = reference_parse_udp_frame(frame)) {
       ++cov.accepted;
       cov.accepted_tcp += accepted->ip.protocol == net::kIpProtoTcp;

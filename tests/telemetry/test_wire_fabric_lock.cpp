@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/hash.hpp"
 #include "telemetry/wire_fabric.hpp"
