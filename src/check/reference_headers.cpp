@@ -2,36 +2,6 @@
 
 namespace dart::check {
 
-namespace {
-
-void reference_serialize_ipv4(const net::Ipv4Header& h, BufWriter& w) {
-  std::vector<std::byte> hdr;
-  BufWriter hw(hdr);
-  hw.u8(0x45);  // version 4, IHL 5
-  hw.u8(static_cast<std::uint8_t>(h.dscp << 2));
-  hw.be16(h.total_length);
-  hw.be16(h.identification);
-  hw.be16(0);  // flags + fragment offset
-  hw.u8(h.ttl);
-  hw.u8(h.protocol);
-  hw.be16(0);  // checksum, patched below
-  hw.be32(h.src.value);
-  hw.be32(h.dst.value);
-  const std::uint16_t checksum = reference_internet_checksum(hdr);
-  hdr[10] = static_cast<std::byte>(checksum >> 8);
-  hdr[11] = static_cast<std::byte>(checksum & 0xFF);
-  w.bytes(hdr);
-}
-
-void reference_serialize_udp(const net::UdpHeader& h, BufWriter& w) {
-  w.be16(h.src_port);
-  w.be16(h.dst_port);
-  w.be16(h.length);
-  w.be16(h.checksum);
-}
-
-}  // namespace
-
 std::uint16_t reference_internet_checksum(
     std::span<const std::byte> data) noexcept {
   std::uint64_t sum = 0;
@@ -116,6 +86,32 @@ void reference_serialize_ethernet(const net::EthernetHeader& h, BufWriter& w) {
   for (const auto b : h.dst) w.u8(b);
   for (const auto b : h.src) w.u8(b);
   w.be16(h.ether_type);
+}
+
+void reference_serialize_ipv4(const net::Ipv4Header& h, BufWriter& w) {
+  std::vector<std::byte> hdr;
+  BufWriter hw(hdr);
+  hw.u8(0x45);  // version 4, IHL 5
+  hw.u8(static_cast<std::uint8_t>(h.dscp << 2));
+  hw.be16(h.total_length);
+  hw.be16(h.identification);
+  hw.be16(0);  // flags + fragment offset
+  hw.u8(h.ttl);
+  hw.u8(h.protocol);
+  hw.be16(0);  // checksum, patched below
+  hw.be32(h.src.value);
+  hw.be32(h.dst.value);
+  const std::uint16_t checksum = reference_internet_checksum(hdr);
+  hdr[10] = static_cast<std::byte>(checksum >> 8);
+  hdr[11] = static_cast<std::byte>(checksum & 0xFF);
+  w.bytes(hdr);
+}
+
+void reference_serialize_udp(const net::UdpHeader& h, BufWriter& w) {
+  w.be16(h.src_port);
+  w.be16(h.dst_port);
+  w.be16(h.length);
+  w.be16(h.checksum);
 }
 
 std::vector<std::byte> reference_build_udp_frame(

@@ -40,8 +40,11 @@ namespace dart::check {
 [[nodiscard]] std::optional<net::ParsedUdpFrame> reference_parse_udp_frame(
     std::span<const std::byte> frame);
 
-// The Ethernet header, one append per field.
+// Each header, one append per field. The IPv4 header is always options-free
+// with flags and fragment offset 0; its checksum is the 16-bit loop's.
 void reference_serialize_ethernet(const net::EthernetHeader& h, BufWriter& w);
+void reference_serialize_ipv4(const net::Ipv4Header& h, BufWriter& w);
+void reference_serialize_udp(const net::UdpHeader& h, BufWriter& w);
 
 // Headers + payload, one append per field; the IPv4 header checksum is the
 // 16-bit loop's.
