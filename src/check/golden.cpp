@@ -1,10 +1,12 @@
 #include "check/golden.hpp"
 
+#include <array>
 #include <cctype>
 #include <cstring>
 #include <fstream>
 
 #include "check/reference_crafter.hpp"
+#include "check/reference_headers.hpp"
 #include "core/collector.hpp"
 #include "core/collector_ring.hpp"
 #include "core/config.hpp"
@@ -498,6 +500,56 @@ std::vector<Trace> canonical_corpus() {
     f[net::kEthernetHeaderLen + 10] ^= std::byte{0x40};  // checksum hi byte
     add("bad_ip_checksum",
         "IPv4 header checksum flipped; the frame dies at L3 (not_roce)",
+        std::move(f));
+  }
+
+  constexpr std::size_t kIp = net::kEthernetHeaderLen;
+  const auto refresh_ip_checksum = [](std::vector<std::byte>& f,
+                                      std::size_t header_len) {
+    f[kIp + 10] = f[kIp + 11] = std::byte{0};
+    const std::uint16_t sum = reference_internet_checksum(
+        std::span(f).subspan(kIp, header_len));
+    f[kIp + 10] = static_cast<std::byte>(sum >> 8);
+    f[kIp + 11] = static_cast<std::byte>(sum & 0xFF);
+  };
+  {  // A RoCEv2 datagram with no room for BTH + iCRC.
+    const auto* bth = pristine.data() + net::kUdpFrameHeaderLen;
+    net::UdpFrameSpec spec;
+    spec.src_mac = dep.reporter.mac;
+    spec.dst_mac = dst.mac;
+    spec.src_ip = dep.reporter.ip;
+    spec.dst_ip = dst.ip;
+    spec.src_port = dep.reporter.udp_src_port;
+    spec.dst_port = net::kRoceV2UdpPort;
+    add("runt_roce",
+        "UDP datagram to 4791 carrying only the report's 12-byte BTH, no "
+        "room for the iCRC; counted bad_icrc while the iCRC is checked",
+        net::build_udp_frame(spec, std::span(bth, rdma::kBthLen)));
+  }
+  {  // IHL 6: four option bytes (NOP) after the IPv4 header.
+    auto f = pristine;
+    const std::array<std::byte, 4> nops = {std::byte{1}, std::byte{1},
+                                           std::byte{1}, std::byte{1}};
+    f.insert(f.begin() + kIp + net::kIpv4HeaderLen, nops.begin(), nops.end());
+    f[kIp] = std::byte{0x46};
+    const std::uint16_t total = static_cast<std::uint16_t>(
+        ((std::to_integer<unsigned>(f[kIp + 2]) << 8) |
+         std::to_integer<unsigned>(f[kIp + 3])) + nops.size());
+    f[kIp + 2] = static_cast<std::byte>(total >> 8);
+    f[kIp + 3] = static_cast<std::byte>(total & 0xFF);
+    refresh_ip_checksum(f, net::kIpv4HeaderLen + nops.size());
+    add("ipv4_options",
+        "IPv4 header with IHL 6 (four NOP option bytes) and a valid "
+        "checksum; only options-free IPv4 is parsed (not_roce)",
+        std::move(f));
+  }
+  {  // An IP protocol that carries no 8-byte L4 header here.
+    auto f = pristine;
+    f[kIp + 9] = std::byte{47};  // GRE
+    refresh_ip_checksum(f, net::kIpv4HeaderLen);
+    add("ip_protocol_gre",
+        "IPv4 protocol 47 (GRE) with a valid checksum; only UDP and TCP "
+        "are parsed (not_roce)",
         std::move(f));
   }
 

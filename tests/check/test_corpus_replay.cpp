@@ -45,6 +45,9 @@ std::uint64_t rejection_count(const rdma::RnicCounters& c,
                               const std::string& name) {
   if (name == "truncated_write") return c.not_roce.load();
   if (name == "bad_ip_checksum") return c.not_roce.load();
+  if (name == "ipv4_options") return c.not_roce.load();
+  if (name == "ip_protocol_gre") return c.not_roce.load();
+  if (name == "runt_roce") return c.bad_icrc.load();
   if (name == "bad_icrc_write") return c.bad_icrc.load();
   if (name == "truncated_multiwrite") return c.bad_icrc.load();
   if (name == "bad_opcode") return c.bad_opcode.load();
