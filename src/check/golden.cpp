@@ -7,6 +7,7 @@
 
 #include "check/reference_crafter.hpp"
 #include "check/reference_headers.hpp"
+#include "check/reference_roce.hpp"
 #include "core/collector.hpp"
 #include "core/collector_ring.hpp"
 #include "core/config.hpp"
@@ -447,7 +448,7 @@ std::vector<Trace> canonical_corpus() {
     auto f = pristine;
     f[net::kEthernetHeaderLen + net::kIpv4HeaderLen + net::kUdpHeaderLen] =
         std::byte{0x7F};  // reserved opcode, no transport class
-    const bool ok = rdma::finalize_frame_icrc(f);
+    const bool ok = reference_finalize_frame_icrc(f);
     (void)ok;  // frame shape is the crafter's own, finalize cannot fail
     add("bad_opcode",
         "BTH opcode rewritten to reserved 0x7f with the iCRC re-finalized; "

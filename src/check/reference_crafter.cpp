@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "check/reference_roce.hpp"
 #include "common/bytes.hpp"
 #include "net/headers.hpp"
 #include "rdma/multiwrite.hpp"
@@ -192,7 +193,7 @@ std::vector<std::byte> ReferenceCrafter::wrap_frame(
   spec.dst_port = net::kRoceV2UdpPort;
 
   auto frame = net::build_udp_frame(spec, roce_payload);
-  const bool ok = rdma::finalize_frame_icrc(frame);
+  const bool ok = reference_finalize_frame_icrc(frame);
   assert(ok);
   (void)ok;
   return frame;

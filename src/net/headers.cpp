@@ -1,6 +1,5 @@
 #include "net/headers.hpp"
 
-#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -50,12 +49,6 @@ void Ipv4Header::write(
   store_be16(p + 10, internet_checksum(out));
 }
 
-void Ipv4Header::serialize(BufWriter& w) const {
-  std::array<std::byte, kIpv4HeaderLen> hdr;
-  write(hdr);
-  w.bytes(hdr);
-}
-
 // ---------------------------------------------------------------------------
 // UDP
 // ---------------------------------------------------------------------------
@@ -65,12 +58,6 @@ void UdpHeader::write(std::span<std::byte, kUdpHeaderLen> out) const noexcept {
   store_be16(out.data() + 2, dst_port);
   store_be16(out.data() + 4, length);
   store_be16(out.data() + 6, checksum);
-}
-
-void UdpHeader::serialize(BufWriter& w) const {
-  std::array<std::byte, kUdpHeaderLen> hdr;
-  write(hdr);
-  w.bytes(hdr);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +101,7 @@ void build_udp_frame_into(const UdpFrameSpec& spec,
   }
 }
 
-std::optional<ParsedUdpFrame> parse_udp_frame(
+std::optional<std::span<const std::byte>> udp_frame_payload(
     std::span<const std::byte> frame) noexcept {
   if (frame.size() < kUdpFrameHeaderLen) return std::nullopt;
   const std::byte* p = frame.data();
@@ -134,6 +121,14 @@ std::optional<ParsedUdpFrame> parse_udp_frame(
   if (internet_checksum(frame.subspan<kIp, kIpv4HeaderLen>()) != 0) {
     return std::nullopt;
   }
+  return frame.subspan(kUdpFrameHeaderLen, udp_length - kUdpHeaderLen);
+}
+
+std::optional<ParsedUdpFrame> parse_udp_frame(
+    std::span<const std::byte> frame) noexcept {
+  const auto payload = udp_frame_payload(frame);
+  if (!payload) return std::nullopt;
+  const std::byte* p = frame.data();
 
   ParsedUdpFrame parsed;
   std::memcpy(parsed.eth.dst.data(), p, parsed.eth.dst.size());
@@ -143,16 +138,15 @@ std::optional<ParsedUdpFrame> parse_udp_frame(
   parsed.ip.total_length = load_be16(p + kIp + 2);
   parsed.ip.identification = load_be16(p + kIp + 4);
   parsed.ip.ttl = std::to_integer<std::uint8_t>(p[kIp + 8]);
-  parsed.ip.protocol = protocol;
+  parsed.ip.protocol = std::to_integer<std::uint8_t>(p[kIp + 9]);
   parsed.ip.checksum = load_be16(p + kIp + 10);
   parsed.ip.src.value = load_be32(p + kIp + 12);
   parsed.ip.dst.value = load_be32(p + kIp + 16);
   parsed.udp.src_port = load_be16(p + kL4);
   parsed.udp.dst_port = load_be16(p + kL4 + 2);
-  parsed.udp.length = udp_length;
+  parsed.udp.length = load_be16(p + kL4 + 4);
   parsed.udp.checksum = load_be16(p + kL4 + 6);
-  parsed.payload =
-      frame.subspan(kUdpFrameHeaderLen, udp_length - kUdpHeaderLen);
+  parsed.payload = *payload;
   return parsed;
 }
 

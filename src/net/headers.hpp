@@ -73,8 +73,6 @@ struct Ipv4Header {
   // The one IPv4 header writer: the 20 bytes with a correct header checksum
   // (flags and fragment offset 0).
   void write(std::span<std::byte, kIpv4HeaderLen> out) const noexcept;
-  // Appends write()'s bytes.
-  void serialize(BufWriter& w) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -93,8 +91,6 @@ struct UdpHeader {
 
   // The one UDP header writer: the 8 bytes, fields as they are.
   void write(std::span<std::byte, kUdpHeaderLen> out) const noexcept;
-  // Appends write()'s bytes.
-  void serialize(BufWriter& w) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -138,12 +134,18 @@ struct ParsedUdpFrame {
   std::span<const std::byte> payload;  // view into the input buffer
 };
 
-// Parses an Ethernet+IPv4+UDP frame; nullopt on any malformed layer. It
-// accepts exactly when: the frame holds the 42 header bytes, the ethertype
-// is 0x0800, the version/IHL byte is 0x45, the IPv4 header checksum is
-// valid, the protocol is UDP or (simplified) TCP, and the UDP length is at
-// least 8 and within the frame. The payload is the UDP length's worth;
-// trailing bytes are ignored.
+// The acceptance rule of every Ethernet+IPv4+UDP frame the simulator
+// reads: the frame holds the 42 header bytes, the ethertype is 0x0800, the
+// version/IHL byte is 0x45, the IPv4 header checksum is valid, the protocol
+// is UDP or (simplified) TCP, and the UDP length is at least 8 and within
+// the frame. Returns the payload, the UDP length's worth (trailing bytes are
+// ignored), or nullopt for a frame the rule refuses. The RNIC's receive path
+// reads only this; parse_udp_frame fills its struct behind it.
+[[nodiscard]] std::optional<std::span<const std::byte>> udp_frame_payload(
+    std::span<const std::byte> frame) noexcept;
+
+// Parses a frame udp_frame_payload accepts into its header fields; nullopt
+// for any other.
 [[nodiscard]] std::optional<ParsedUdpFrame> parse_udp_frame(
     std::span<const std::byte> frame) noexcept;
 

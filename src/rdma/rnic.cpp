@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "net/headers.hpp"
 #include "rdma/multiwrite.hpp"
 
 namespace dart::rdma {
@@ -30,16 +29,16 @@ std::optional<Completion> SimulatedRnic::process_frame(
     return std::nullopt;
   }
   LookupCache lc;
-  const WireClass cls = classify_wire_frame(frame, validate_icrc_);
-  return dispatch_classified(cls, frame, lc);
+  return dispatch_classified(classify_wire_frame(frame, validate_icrc_), lc);
 }
 
 std::optional<Completion> SimulatedRnic::dispatch_classified(
-    const WireClass& cls, std::span<const std::byte> frame, LookupCache& lc) {
+    const WireClass& cls, LookupCache& lc) {
   using V = WireClass::Verdict;
   switch (cls.verdict) {
-    case V::kFallback:
-      return process_frame_slow(frame, lc);
+    case V::kNotUdp:
+      ++counters_.not_roce;
+      return std::nullopt;
     case V::kOtherPort:
       if (dta_enabled_ && cls.udp_dst_port == kDtaUdpPort) {
         return execute_multiwrite(cls.udp_payload);
@@ -56,34 +55,6 @@ std::optional<Completion> SimulatedRnic::dispatch_classified(
       return admit_and_execute(cls.req, lc);
   }
   return std::nullopt;  // unreachable
-}
-
-std::optional<Completion> SimulatedRnic::process_frame_slow(
-    std::span<const std::byte> frame, LookupCache& lc) {
-  const auto parsed = net::parse_udp_frame(frame);
-  if (!parsed) {
-    ++counters_.not_roce;
-    return std::nullopt;
-  }
-  if (dta_enabled_ && parsed->udp.dst_port == kDtaUdpPort) {
-    return execute_multiwrite(parsed->payload);
-  }
-  if (parsed->udp.dst_port != net::kRoceV2UdpPort) {
-    ++counters_.not_roce;
-    return std::nullopt;
-  }
-
-  if (validate_icrc_ && !verify_frame_icrc(frame)) {
-    ++counters_.bad_icrc;
-    return std::nullopt;
-  }
-
-  const auto req = parse_request(parsed->payload);
-  if (!req) {
-    ++counters_.bad_opcode;
-    return std::nullopt;
-  }
-  return admit_and_execute(*req, lc);
 }
 
 std::optional<Completion> SimulatedRnic::admit_and_execute(
@@ -131,8 +102,8 @@ std::size_t SimulatedRnic::process_frames(
     const std::size_t m = std::min(kBurst, frames.size() - base);
     LookupCache lc;
 
-    // Stage 1: stateless classification — header walk + fused iCRC — for the
-    // whole chunk. No RNIC state is read or written here beyond counters.
+    // Stage 1: stateless classification — header checks, iCRC and request
+    // fields — for the whole chunk. No RNIC state is read or written here beyond counters.
     for (std::size_t i = 0; i < m; ++i) {
       ++counters_.frames;
       stalled[i] = consume_stall();
@@ -166,7 +137,7 @@ std::size_t SimulatedRnic::process_frames(
     // original frame order is preserved exactly).
     for (std::size_t i = 0; i < m; ++i) {
       if (stalled[i]) continue;
-      if (dispatch_classified(cls[i], frames[base + i], lc)) ++executed;
+      if (dispatch_classified(cls[i], lc)) ++executed;
     }
   }
   return executed;

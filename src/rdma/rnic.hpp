@@ -9,6 +9,12 @@
 //   UDP port 4791 → iCRC check → QP lookup → PSN window → rkey lookup →
 //   PD match → access-flag check → bounds check → DMA / atomic execute.
 //
+// Every frame, one at a time or in a burst, takes one receive path:
+// rdma::classify_wire_frame decides the steps up to the request parse in a
+// single pass (roce.hpp lists its verdicts), and the RNIC counts or executes
+// what it returns. The layered decode is its reference in
+// src/check/reference_roce.hpp.
+//
 // Every rejection is counted (the counters drive tests and the robustness
 // bench). The RNIC is also a net::Node so it can terminate links in the
 // fabric simulator; the baselines in src/baseline deliberately do all of
@@ -103,7 +109,7 @@ class SimulatedRnic : public net::Node {
   // as process_frame). This is how the shard workers hand over a whole ring
   // drain in one call — the batch analogue of an RNIC pulling a doorbell'd
   // chain of receive descriptors. Internally the batch runs in staged chunks:
-  // stateless classification (header walk + fused iCRC) for the whole chunk,
+  // stateless classification (classify_wire_frame) for the whole chunk,
   // then MR resolution with software prefetch of the DMA target lines, then
   // in-order admission and apply (PSN windows are stateful, so ordering is
   // preserved exactly). Verdicts and counters are identical to calling
@@ -187,17 +193,12 @@ class SimulatedRnic : public net::Node {
   // True if this frame was eaten by an injected stall (counts it too).
   [[nodiscard]] bool consume_stall() noexcept;
 
-  // Routes a classification verdict to counters / execution; kFallback runs
-  // the layered path (process_frame_slow) on the raw frame.
+  // Routes a classification verdict to counters / execution: a frame that
+  // is no UDP datagram, or one to a port that is neither 4791 nor the
+  // enabled DTA port, counts as not_roce.
   std::optional<Completion> dispatch_classified(const WireClass& cls,
-                                                std::span<const std::byte> frame,
                                                 LookupCache& lc);
-  // The original layered receive path (parse → verify iCRC → parse request),
-  // for frames the fused classifier won't touch.
-  std::optional<Completion> process_frame_slow(std::span<const std::byte> frame,
-                                               LookupCache& lc);
-  // QP admission (state / transport class / PSN window) then execute. Shared
-  // by the fused and layered paths so verdicts cannot drift.
+  // QP admission (state / transport class / PSN window) then execute.
   std::optional<Completion> admit_and_execute(const RoceRequest& req,
                                               LookupCache& lc);
   std::optional<Completion> execute(const RoceRequest& req, LookupCache& lc);

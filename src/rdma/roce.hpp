@@ -5,25 +5,28 @@
 // DART switches craft these headers in the P4 egress pipeline (§6): a report
 // is a UDP datagram to port 4791 carrying BTH+RETH+payload+iCRC, i.e. an
 // RDMA WRITE ONLY operation aimed at a hash-chosen collector address. The
-// simulated RNIC parses and validates the same format, so the switch and NIC
-// must agree bit-for-bit — tests assert round-trips and iCRC stability.
+// simulated RNIC decodes every inbound frame with classify_wire_frame, one
+// pass at fixed offsets, so the switch and NIC must agree bit-for-bit. The
+// layered per-header decode it replaced is the reference in
+// src/check/reference_roce.hpp, and the RoCE property
+// (tests/check/test_prop_roce.cpp) diffs the two.
 //
 // iCRC: we follow the SoftRoCE (rxe) formulation for RoCEv2-over-IPv4:
 //   iCRC = CRC32( 8 bytes of 0xFF            — masked dummy LRH
 //               ‖ IPv4 header with ToS, TTL, header-checksum set to 0xFF
+//                 and flags + fragment offset read as 0
 //               ‖ UDP header with checksum set to 0xFFFF
 //               ‖ BTH with the resv8a byte set to 0xFF
 //               ‖ payload )
-// transmitted little-endian after the payload. Both producer (switch) and
-// consumer (RNIC) in this codebase use this exact function; bit-compatibility
-// with a specific hardware NIC is out of scope and irrelevant to the paper's
-// claims.
+// transmitted little-endian after the payload. The crafter's cached prefix
+// (icrc_prefix_state) and the RNIC's check mask the same bytes through one
+// helper; bit-compatibility with a specific hardware NIC is out of scope and
+// irrelevant to the paper's claims.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
@@ -66,7 +69,6 @@ struct Bth {
   std::uint32_t psn = 0;  // 24 bits
 
   void serialize(BufWriter& w) const;
-  [[nodiscard]] static std::optional<Bth> parse(BufReader& r);
 };
 
 // RDMA Extended Transport Header (16 bytes) — WRITE/READ address info.
@@ -76,7 +78,6 @@ struct Reth {
   std::uint32_t dma_length = 0;
 
   void serialize(BufWriter& w) const;
-  [[nodiscard]] static std::optional<Reth> parse(BufReader& r);
 };
 
 // Atomic Extended Transport Header (28 bytes) — CAS / Fetch&Add operands.
@@ -87,7 +88,6 @@ struct AtomicEth {
   std::uint64_t compare = 0;   // compare value (CAS only)
 
   void serialize(BufWriter& w) const;
-  [[nodiscard]] static std::optional<AtomicEth> parse(BufReader& r);
 };
 
 // A fully parsed RoCEv2 request as it leaves the UDP payload.
@@ -99,24 +99,13 @@ struct RoceRequest {
   std::uint32_t icrc = 0;              // as carried on the wire
 };
 
-// Serializes BTH (+RETH) + payload (+iCRC placeholder filled by caller via
-// finalize_icrc) into `out`. Returns offset of the iCRC field.
+// Serializes BTH (+RETH) + payload + a zeroed iCRC slot into `w`. Returns
+// the offset of the iCRC field.
 std::size_t serialize_write(BufWriter& w, const Bth& bth, const Reth& reth,
                             std::span<const std::byte> payload);
 
 std::size_t serialize_atomic(BufWriter& w, const Bth& bth,
                              const AtomicEth& aeth);
-
-// Parses a RoCEv2 request from a UDP payload (BTH .. iCRC). Does not verify
-// the iCRC — the RNIC does that against the full frame.
-[[nodiscard]] std::optional<RoceRequest> parse_request(
-    std::span<const std::byte> udp_payload);
-
-// Computes the RoCEv2 iCRC over a full Ethernet frame whose UDP payload ends
-// with a 4-byte iCRC slot (excluded from the computation).
-[[nodiscard]] std::uint32_t compute_icrc(const net::Ipv4Header& ip,
-                                         const net::UdpHeader& udp,
-                                         std::span<const std::byte> bth_to_payload);
 
 // Offset of the first iCRC-covered byte that can differ between two frames
 // of one (source, destination) endpoint pair: the BTH PSN word. Everything
@@ -136,45 +125,43 @@ inline constexpr std::size_t kIcrcVariantOffset =
 [[nodiscard]] Crc32 icrc_prefix_state(std::span<const std::byte> frame) noexcept;
 
 // ---------------------------------------------------------------------------
-// Fused single-pass wire classification (the RNIC ingest fast path)
+// Wire classification (the RNIC's receive path)
 // ---------------------------------------------------------------------------
 //
-// The layered receive path walks each frame three times: parse_udp_frame
-// slices the headers, verify_frame_icrc re-reads them to rebuild the masked
-// prefix CRC, and parse_request reads the BTH/RETH a third time.
-// classify_wire_frame does all of it in one pass over the canonical frame
-// shape every report in this simulator has (options-free IPv4, not
-// fragmented, UDP): header sanity, the masked iCRC as ONE contiguous
-// PCLMUL-dispatched CRC stream, and request field extraction. Its verdicts
-// agree exactly with the layered path for every frame it classifies;
-// anything non-canonical comes back kFallback so the caller can run the
-// layered path and keep behavior (and counters) bit-identical.
+// classify_wire_frame decides every inbound frame in one pass: the
+// Ethernet/IPv4/UDP acceptance rule of net::parse_udp_frame (shared through
+// net::udp_frame_payload), the UDP port, the masked iCRC and the request
+// fields. Its verdicts, in the order they are decided:
+//   1. a frame the UDP rule refuses is kNotUdp (IPv4 options, other
+//      protocols than UDP and the simulator's TCP, a bad header checksum, a
+//      UDP length below 8 or past the frame);
+//   2. a datagram to any port but 4791 is kOtherPort, with the port and its
+//      payload for the caller (the RNIC's DTA multiwrite);
+//   3. a payload with no room for BTH + iCRC is kBadIcrc when the iCRC is
+//      checked and kBadRequest when not;
+//   4. a trailing iCRC that does not match is kBadIcrc. It is computed over
+//      the masked image for any frame length: report-sized frames in one
+//      contiguous CRC stream over a stack copy, longer ones with the bytes
+//      past that copy streamed from the frame;
+//   5. a malformed BTH/RETH/AtomicETH is kBadRequest, anything else kOk.
 struct WireClass {
   enum class Verdict : std::uint8_t {
-    kFallback,    // non-canonical shape — run the layered path
+    kNotUdp,      // not an Ethernet/IPv4/UDP frame this simulator parses
     kOtherPort,   // well-formed UDP, dst port is not 4791 (see udp_dst_port)
-    kBadIcrc,     // trailing iCRC does not match the masked-frame CRC
+    kBadIcrc,     // trailing iCRC does not match, or no room for it
     kBadRequest,  // iCRC ok (or skipped) but BTH/RETH/AtomicETH malformed
     kOk,          // `req` holds the parsed request
   };
 
-  Verdict verdict = Verdict::kFallback;
+  Verdict verdict = Verdict::kNotUdp;
   std::uint16_t udp_dst_port = 0;
-  std::span<const std::byte> udp_payload;  // valid unless kFallback
+  std::span<const std::byte> udp_payload;  // valid unless kNotUdp
   RoceRequest req{};                       // valid when kOk
 };
 
 // `check_icrc` mirrors the RNIC's validate-iCRC knob; when false the CRC
-// pass is skipped entirely (the kBadIcrc verdict can then never occur).
+// pass is skipped entirely.
 [[nodiscard]] WireClass classify_wire_frame(std::span<const std::byte> frame,
                                             bool check_icrc) noexcept;
-
-// Patches the trailing 4 iCRC bytes of `frame` (a full Ethernet+IP+UDP frame
-// carrying a RoCEv2 payload) with the correct iCRC. Returns false if the
-// frame is malformed.
-bool finalize_frame_icrc(std::span<std::byte> frame);
-
-// Verifies the trailing iCRC of a full frame.
-[[nodiscard]] bool verify_frame_icrc(std::span<const std::byte> frame);
 
 }  // namespace dart::rdma

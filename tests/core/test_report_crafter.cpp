@@ -8,6 +8,7 @@
 #include <string>
 
 #include "check/reference_crafter.hpp"
+#include "check/reference_roce.hpp"
 #include "rdma/roce.hpp"
 
 namespace dart::core {
@@ -80,13 +81,13 @@ TEST(ReportCrafter, WriteFrameIsValidAndAddressed) {
   std::vector<std::byte> value(20, std::byte{0x42});
   const auto frame = write_frame(crafter, key, value, 0, 5);
 
-  EXPECT_TRUE(rdma::verify_frame_icrc(frame));
+  EXPECT_TRUE(check::reference_verify_frame_icrc(frame));
   const auto parsed = net::parse_udp_frame(frame);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->ip.src, src_info().ip);
   EXPECT_EQ(parsed->ip.dst, dst_info().ip);
 
-  const auto req = rdma::parse_request(parsed->payload);
+  const auto req = check::reference_parse_request(parsed->payload);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->bth.psn, 5u);
   EXPECT_EQ(req->bth.dest_qp, 0x101u);
@@ -113,7 +114,7 @@ TEST(ReportCrafter, PayloadPrefixIsKeyChecksum) {
   std::vector<std::byte> value(20, std::byte{0x01});
   const auto frame = write_frame(crafter, key, value, 1, 0);
   const auto parsed = net::parse_udp_frame(frame);
-  const auto req = rdma::parse_request(parsed->payload);
+  const auto req = check::reference_parse_request(parsed->payload);
   ASSERT_TRUE(req.has_value());
 
   const HashFamily family(2, 0xDA27);
@@ -139,9 +140,9 @@ TEST(ReportCrafter, FetchAddFrame) {
   const ReportCrafter crafter(config());
   const auto frame = atomic_frame(crafter, rdma::Opcode::kRcFetchAdd,
                                   0x0000'1000'0000'0040ull, 0, 7, 3);
-  EXPECT_TRUE(rdma::verify_frame_icrc(frame));
+  EXPECT_TRUE(check::reference_verify_frame_icrc(frame));
   const auto parsed = net::parse_udp_frame(frame);
-  const auto req = rdma::parse_request(parsed->payload);
+  const auto req = check::reference_parse_request(parsed->payload);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->bth.opcode, rdma::Opcode::kRcFetchAdd);
   ASSERT_TRUE(req->atomic_eth.has_value());
@@ -155,9 +156,9 @@ TEST(ReportCrafter, CompareSwapFrame) {
   const auto frame =
       atomic_frame(crafter, rdma::Opcode::kRcCompareSwap,
                    0x0000'1000'0000'0080ull, /*compare=*/0, /*swap=*/0xAA, 9);
-  EXPECT_TRUE(rdma::verify_frame_icrc(frame));
+  EXPECT_TRUE(check::reference_verify_frame_icrc(frame));
   const auto parsed = net::parse_udp_frame(frame);
-  const auto req = rdma::parse_request(parsed->payload);
+  const auto req = check::reference_parse_request(parsed->payload);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->bth.opcode, rdma::Opcode::kRcCompareSwap);
   EXPECT_EQ(req->atomic_eth->compare, 0u);
@@ -283,8 +284,8 @@ TEST(FrameTemplate, MultiwriteByteIdentical) {
 }
 
 TEST(FrameTemplate, TemplateFramesVerifyAndParse) {
-  // Independent of byte identity: the RNIC-side validators accept template
-  // frames on their own terms.
+  // Independent of byte identity: the RNIC's receive path accepts template
+  // frames on its own terms.
   const ReportCrafter crafter(config());
   const auto tpl = crafter.make_write_template(dst_info(), src_info());
   std::vector<std::byte> out(tpl.frame_size());
@@ -292,13 +293,11 @@ TEST(FrameTemplate, TemplateFramesVerifyAndParse) {
   std::vector<std::byte> value(20, std::byte{0x55});
   ASSERT_NE(crafter.craft_write_into(tpl, bytes_of(key), value, 1, 42, out),
             0u);
-  EXPECT_TRUE(rdma::verify_frame_icrc(out));
-  const auto parsed = net::parse_udp_frame(out);
-  ASSERT_TRUE(parsed.has_value());
-  const auto req = rdma::parse_request(parsed->payload);
-  ASSERT_TRUE(req.has_value());
-  EXPECT_EQ(req->bth.psn, 42u);
-  EXPECT_EQ(req->reth->vaddr, crafter.slot_vaddr(dst_info(), bytes_of(key), 1));
+  const auto cls = rdma::classify_wire_frame(out, /*check_icrc=*/true);
+  ASSERT_EQ(cls.verdict, rdma::WireClass::Verdict::kOk);
+  EXPECT_EQ(cls.req.bth.psn, 42u);
+  EXPECT_EQ(cls.req.reth->vaddr,
+            crafter.slot_vaddr(dst_info(), bytes_of(key), 1));
 }
 
 TEST(FrameTemplate, RejectsKindMismatchAndUndersizedBuffer) {

@@ -40,10 +40,15 @@ std::vector<std::byte> random_blob(Xoshiro256& rng, std::size_t max_len) {
 
 TEST(Fuzz, ParsersSurviveRandomBlobs) {
   Xoshiro256 rng(check::seed_from_env(0xF022, "Fuzz.ParsersSurviveRandomBlobs"));
+  // The RNIC's request parse sees the blob as a RoCEv2 datagram's payload.
+  net::UdpFrameSpec roce;
+  roce.dst_port = net::kRoceV2UdpPort;
   for (int i = 0; i < 20'000; ++i) {
     const auto blob = random_blob(rng, 256);
     (void)net::parse_udp_frame(blob);
-    (void)rdma::parse_request(blob);
+    (void)rdma::classify_wire_frame(blob, /*check_icrc=*/true);
+    (void)rdma::classify_wire_frame(net::build_udp_frame(roce, blob),
+                                    /*check_icrc=*/false);
     (void)rdma::parse_multiwrite(blob);
     (void)telemetry::int_original_dst_port(blob);
     (void)telemetry::int_sink_owes_hop(blob, 1);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "check/reference_headers.hpp"
 
 namespace dart::net {
@@ -60,10 +62,8 @@ TEST(Ipv4, RoundTripWithValidChecksum) {
   h.src = Ipv4Addr::from_octets(192, 168, 0, 1);
   h.dst = Ipv4Addr::from_octets(10, 0, 0, 2);
 
-  std::vector<std::byte> buf;
-  BufWriter w(buf);
-  h.serialize(w);
-  ASSERT_EQ(buf.size(), kIpv4HeaderLen);
+  std::array<std::byte, kIpv4HeaderLen> buf;
+  h.write(buf);
 
   BufReader r(buf);
   const auto parsed = reference_parse_ipv4(r);
@@ -85,14 +85,14 @@ TEST(Ipv4, SerializesKnownBytes) {
   h.src = Ipv4Addr::from_octets(192, 168, 0, 1);
   h.dst = Ipv4Addr::from_octets(10, 0, 0, 2);
 
-  std::vector<std::byte> buf{std::byte{0xAB}};  // appends after what is there
-  BufWriter w(buf);
-  h.serialize(w);
+  // Written into the middle of a buffer: the bytes around it stay.
+  std::vector<std::byte> buf(1 + kIpv4HeaderLen + 1, std::byte{0xAB});
+  h.write(std::span(buf).subspan<1, kIpv4HeaderLen>());
   // version/IHL, DSCP, total length, id, flags/fragment 0, TTL, protocol,
   // RFC 1071 header checksum, source, destination.
   const std::vector<std::uint8_t> expected = {
-      0xAB, 0x45, 0x30, 0x00, 0x30, 0x00, 0x42, 0x00, 0x00, 0x11, 0x11,
-      0xDE, 0xA0, 0xC0, 0xA8, 0x00, 0x01, 0x0A, 0x00, 0x00, 0x02};
+      0xAB, 0x45, 0x30, 0x00, 0x30, 0x00, 0x42, 0x00, 0x00, 0x11, 0x11, 0xDE,
+      0xA0, 0xC0, 0xA8, 0x00, 0x01, 0x0A, 0x00, 0x00, 0x02, 0xAB};
   ASSERT_EQ(buf.size(), expected.size());
   for (std::size_t i = 0; i < buf.size(); ++i) {
     EXPECT_EQ(static_cast<std::uint8_t>(buf[i]), expected[i]) << "byte " << i;
@@ -102,9 +102,8 @@ TEST(Ipv4, SerializesKnownBytes) {
 TEST(Ipv4, CorruptedHeaderRejectedByChecksum) {
   Ipv4Header h;
   h.total_length = 28;
-  std::vector<std::byte> buf;
-  BufWriter w(buf);
-  h.serialize(w);
+  std::array<std::byte, kIpv4HeaderLen> buf;
+  h.write(buf);
   buf[8] = std::byte{99};  // flip the TTL after checksumming
   BufReader r(buf);
   EXPECT_FALSE(reference_parse_ipv4(r).has_value());
@@ -112,9 +111,8 @@ TEST(Ipv4, CorruptedHeaderRejectedByChecksum) {
 
 TEST(Ipv4, NonVersion4Rejected) {
   Ipv4Header h;
-  std::vector<std::byte> buf;
-  BufWriter w(buf);
-  h.serialize(w);
+  std::array<std::byte, kIpv4HeaderLen> buf;
+  h.write(buf);
   buf[0] = std::byte{0x65};  // version 6
   BufReader r(buf);
   EXPECT_FALSE(reference_parse_ipv4(r).has_value());
@@ -125,10 +123,8 @@ TEST(Udp, RoundTrip) {
   h.src_port = 49152;
   h.dst_port = kRoceV2UdpPort;
   h.length = 36;
-  std::vector<std::byte> buf;
-  BufWriter w(buf);
-  h.serialize(w);
-  ASSERT_EQ(buf.size(), kUdpHeaderLen);
+  std::array<std::byte, kUdpHeaderLen> buf;
+  h.write(buf);
 
   BufReader r(buf);
   const auto parsed = reference_parse_udp(r);
@@ -141,9 +137,8 @@ TEST(Udp, RoundTrip) {
 TEST(Udp, LengthBelowHeaderRejected) {
   UdpHeader h;
   h.length = 4;  // impossible: < 8
-  std::vector<std::byte> buf;
-  BufWriter w(buf);
-  h.serialize(w);
+  std::array<std::byte, kUdpHeaderLen> buf;
+  h.write(buf);
   BufReader r(buf);
   EXPECT_FALSE(reference_parse_udp(r).has_value());
 }

@@ -7,11 +7,14 @@
 #include <cstring>
 #include <vector>
 
+#include "check/reference_roce.hpp"
 #include "core/collector.hpp"
 #include "core/report_crafter.hpp"
 
 namespace dart::rdma {
 namespace {
+
+using check::reference_finalize_frame_icrc;
 
 // Harness: an RNIC with one MR and one RC QP, plus a frame factory.
 class RnicFixture : public ::testing::Test {
@@ -45,7 +48,7 @@ class RnicFixture : public ::testing::Test {
     BufWriter w(roce);
     serialize_write(w, bth, reth, payload);
     auto frame = net::build_udp_frame(frame_spec(), roce);
-    EXPECT_TRUE(finalize_frame_icrc(frame));
+    EXPECT_TRUE(reference_finalize_frame_icrc(frame));
     return frame;
   }
 
@@ -66,7 +69,7 @@ class RnicFixture : public ::testing::Test {
     BufWriter w(roce);
     serialize_atomic(w, bth, aeth);
     auto frame = net::build_udp_frame(frame_spec(), roce);
-    EXPECT_TRUE(finalize_frame_icrc(frame));
+    EXPECT_TRUE(reference_finalize_frame_icrc(frame));
     return frame;
   }
 
@@ -222,7 +225,7 @@ TEST_F(RnicFixture, AccessFlagsEnforced) {
   BufWriter w(roce);
   serialize_atomic(w, bth, aeth);
   auto frame = net::build_udp_frame(frame_spec(), roce);
-  ASSERT_TRUE(finalize_frame_icrc(frame));
+  ASSERT_TRUE(reference_finalize_frame_icrc(frame));
 
   EXPECT_FALSE(rnic_.process_frame(frame).has_value());
   EXPECT_EQ(rnic_.counters().access_denied, 1u);
@@ -253,7 +256,7 @@ TEST_F(RnicFixture, UcOpcodeOnRcQpRejected) {
   BufWriter w(roce);
   serialize_write(w, bth, reth, payload);
   auto frame = net::build_udp_frame(frame_spec(), roce);
-  ASSERT_TRUE(finalize_frame_icrc(frame));
+  ASSERT_TRUE(reference_finalize_frame_icrc(frame));
   EXPECT_FALSE(rnic_.process_frame(frame).has_value());
   EXPECT_EQ(rnic_.counters().bad_opcode, 1u);
 }

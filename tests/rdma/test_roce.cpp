@@ -1,13 +1,24 @@
 // Tests for the RoCEv2 wire format: BTH/RETH/AtomicETH round trips, request
-// parsing, and iCRC computation/verification.
+// parsing, and iCRC computation/verification. The parse and iCRC cases run
+// the layered reference in src/check/reference_roce, which the RoCE property
+// diffs against the RNIC's classify_wire_frame.
 #include "rdma/roce.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "check/reference_roce.hpp"
+
 namespace dart::rdma {
 namespace {
+
+using check::reference_finalize_frame_icrc;
+using check::reference_parse_atomic_eth;
+using check::reference_parse_bth;
+using check::reference_parse_request;
+using check::reference_parse_reth;
+using check::reference_verify_frame_icrc;
 
 TEST(Bth, RoundTrip) {
   Bth h;
@@ -26,7 +37,7 @@ TEST(Bth, RoundTrip) {
   ASSERT_EQ(buf.size(), kBthLen);
 
   BufReader r(buf);
-  const auto parsed = Bth::parse(r);
+  const auto parsed = reference_parse_bth(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->opcode, Opcode::kRcRdmaWriteOnly);
   EXPECT_TRUE(parsed->solicited);
@@ -46,7 +57,7 @@ TEST(Bth, PsnAndQpAre24Bit) {
   BufWriter w(buf);
   h.serialize(w);
   BufReader r(buf);
-  const auto parsed = Bth::parse(r);
+  const auto parsed = reference_parse_bth(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->dest_qp, 0x00FFFFFFu);
   EXPECT_EQ(parsed->psn, 0x00FFFFFFu);
@@ -56,7 +67,7 @@ TEST(Bth, UnknownOpcodeRejected) {
   std::vector<std::byte> buf(kBthLen, std::byte{0});
   buf[0] = std::byte{0x0C};  // RDMA READ REQUEST — unsupported by this model
   BufReader r(buf);
-  EXPECT_FALSE(Bth::parse(r).has_value());
+  EXPECT_FALSE(reference_parse_bth(r).has_value());
 }
 
 TEST(Reth, RoundTrip) {
@@ -69,7 +80,7 @@ TEST(Reth, RoundTrip) {
   h.serialize(w);
   ASSERT_EQ(buf.size(), kRethLen);
   BufReader r(buf);
-  const auto parsed = Reth::parse(r);
+  const auto parsed = reference_parse_reth(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->vaddr, h.vaddr);
   EXPECT_EQ(parsed->rkey, h.rkey);
@@ -87,7 +98,7 @@ TEST(AtomicEth, RoundTrip) {
   h.serialize(w);
   ASSERT_EQ(buf.size(), kAtomicEthLen);
   BufReader r(buf);
-  const auto parsed = AtomicEth::parse(r);
+  const auto parsed = reference_parse_atomic_eth(r);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->swap_add, h.swap_add);
   EXPECT_EQ(parsed->compare, h.compare);
@@ -119,7 +130,7 @@ TEST(ParseRequest, WriteWithPayload) {
   BufWriter w(buf);
   serialize_write(w, bth, reth, payload);
 
-  const auto req = parse_request(buf);
+  const auto req = reference_parse_request(buf);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->bth.dest_qp, 0x100u);
   ASSERT_TRUE(req->reth.has_value());
@@ -137,7 +148,7 @@ TEST(ParseRequest, DmaLengthMismatchRejected) {
   std::vector<std::byte> buf;
   BufWriter w(buf);
   serialize_write(w, bth, reth, payload);
-  EXPECT_FALSE(parse_request(buf).has_value());
+  EXPECT_FALSE(reference_parse_request(buf).has_value());
 }
 
 TEST(ParseRequest, AtomicHasNoPayload) {
@@ -150,7 +161,7 @@ TEST(ParseRequest, AtomicHasNoPayload) {
   BufWriter w(buf);
   serialize_atomic(w, bth, aeth);
 
-  const auto req = parse_request(buf);
+  const auto req = reference_parse_request(buf);
   ASSERT_TRUE(req.has_value());
   ASSERT_TRUE(req->atomic_eth.has_value());
   EXPECT_EQ(req->atomic_eth->swap_add, 5u);
@@ -159,7 +170,7 @@ TEST(ParseRequest, AtomicHasNoPayload) {
 
 TEST(ParseRequest, TooShortRejected) {
   std::vector<std::byte> buf(kBthLen + kIcrcLen - 1, std::byte{0});
-  EXPECT_FALSE(parse_request(buf).has_value());
+  EXPECT_FALSE(reference_parse_request(buf).has_value());
 }
 
 // --- iCRC over full frames -----------------------------------------------------
@@ -188,17 +199,17 @@ std::vector<std::byte> make_frame(std::span<const std::byte> payload_bytes) {
 TEST(Icrc, FinalizeThenVerify) {
   std::vector<std::byte> payload(24, std::byte{0x11});
   auto frame = make_frame(payload);
-  EXPECT_FALSE(verify_frame_icrc(frame));  // placeholder iCRC is zero
-  ASSERT_TRUE(finalize_frame_icrc(frame));
-  EXPECT_TRUE(verify_frame_icrc(frame));
+  EXPECT_FALSE(reference_verify_frame_icrc(frame));  // placeholder iCRC is zero
+  ASSERT_TRUE(reference_finalize_frame_icrc(frame));
+  EXPECT_TRUE(reference_verify_frame_icrc(frame));
 }
 
 TEST(Icrc, PayloadCorruptionDetected) {
   std::vector<std::byte> payload(24, std::byte{0x11});
   auto frame = make_frame(payload);
-  ASSERT_TRUE(finalize_frame_icrc(frame));
+  ASSERT_TRUE(reference_finalize_frame_icrc(frame));
   frame[frame.size() - kIcrcLen - 1] ^= std::byte{0x01};  // flip payload bit
-  EXPECT_FALSE(verify_frame_icrc(frame));
+  EXPECT_FALSE(reference_verify_frame_icrc(frame));
 }
 
 TEST(Icrc, InvariantToTtlChange) {
@@ -206,8 +217,8 @@ TEST(Icrc, InvariantToTtlChange) {
   // IP checksum must keep the iCRC valid — that's the "invariant" in iCRC.
   std::vector<std::byte> payload(8, std::byte{0x22});
   auto frame = make_frame(payload);
-  ASSERT_TRUE(finalize_frame_icrc(frame));
-  ASSERT_TRUE(verify_frame_icrc(frame));
+  ASSERT_TRUE(reference_finalize_frame_icrc(frame));
+  ASSERT_TRUE(reference_verify_frame_icrc(frame));
 
   // Decrement TTL (offset 14+8=22) and recompute the IPv4 header checksum.
   frame[22] = static_cast<std::byte>(static_cast<std::uint8_t>(frame[22]) - 1);
@@ -222,22 +233,22 @@ TEST(Icrc, InvariantToTtlChange) {
   frame[24] = static_cast<std::byte>(csum >> 8);
   frame[25] = static_cast<std::byte>(csum & 0xFF);
 
-  EXPECT_TRUE(verify_frame_icrc(frame));
+  EXPECT_TRUE(reference_verify_frame_icrc(frame));
 }
 
 TEST(Icrc, BthCorruptionDetected) {
   std::vector<std::byte> payload(8, std::byte{0x33});
   auto frame = make_frame(payload);
-  ASSERT_TRUE(finalize_frame_icrc(frame));
+  ASSERT_TRUE(reference_finalize_frame_icrc(frame));
   // Flip the PSN byte (inside BTH, covered by iCRC).
   frame[frame.size() - kIcrcLen - payload.size() - 1] ^= std::byte{0x80};
-  EXPECT_FALSE(verify_frame_icrc(frame));
+  EXPECT_FALSE(reference_verify_frame_icrc(frame));
 }
 
 TEST(Icrc, MalformedFrameRejected) {
   std::vector<std::byte> junk(10, std::byte{1});
-  EXPECT_FALSE(finalize_frame_icrc(junk));
-  EXPECT_FALSE(verify_frame_icrc(junk));
+  EXPECT_FALSE(reference_finalize_frame_icrc(junk));
+  EXPECT_FALSE(reference_verify_frame_icrc(junk));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "check/reference_crafter.hpp"
+#include "check/reference_roce.hpp"
 #include "core/collector.hpp"
 #include "rdma/roce.hpp"
 
@@ -81,8 +82,8 @@ TEST(DartSwitch, AllSlotsEmitsNFrames) {
   const auto f0 = net::parse_udp_frame(frames[0]);
   const auto f1 = net::parse_udp_frame(frames[1]);
   ASSERT_TRUE(f0 && f1);
-  const auto r0 = rdma::parse_request(f0->payload);
-  const auto r1 = rdma::parse_request(f1->payload);
+  const auto r0 = check::reference_parse_request(f0->payload);
+  const auto r1 = check::reference_parse_request(f1->payload);
   ASSERT_TRUE(r0 && r1);
   EXPECT_NE(r0->reth->vaddr, r1->reth->vaddr);
 }
@@ -93,12 +94,12 @@ TEST(DartSwitch, FramesAreValidRoce) {
   const std::string key = "flow-2";
   std::vector<std::byte> value(20, std::byte{3});
   for (const auto& frame : sw.on_telemetry(bytes_of(key), value)) {
-    EXPECT_TRUE(rdma::verify_frame_icrc(frame));
+    EXPECT_TRUE(check::reference_verify_frame_icrc(frame));
     const auto parsed = net::parse_udp_frame(frame);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->udp.dst_port, net::kRoceV2UdpPort);
     EXPECT_EQ(parsed->ip.dst, fake_collector(3).ip);
-    const auto req = rdma::parse_request(parsed->payload);
+    const auto req = check::reference_parse_request(parsed->payload);
     ASSERT_TRUE(req.has_value());
     EXPECT_EQ(req->bth.opcode, rdma::Opcode::kRcRdmaWriteOnly);
     EXPECT_EQ(req->bth.dest_qp, fake_collector(3).qpn);
@@ -131,7 +132,7 @@ TEST(DartSwitch, PsnsOnWireAreSequential) {
     const auto frames = sw.on_telemetry(bytes_of(key), value);
     ASSERT_EQ(frames.size(), 1u);
     const auto parsed = net::parse_udp_frame(frames[0]);
-    const auto req = rdma::parse_request(parsed->payload);
+    const auto req = check::reference_parse_request(parsed->payload);
     psns.push_back(req->bth.psn);
   }
   EXPECT_EQ(psns, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
@@ -314,7 +315,7 @@ TEST(DartSwitchPrimitives, PrimitivesShareThePsnStreamWithKvReports) {
   for (const auto* frame : {&kv[0], &append, &inc}) {
     const auto parsed = net::parse_udp_frame(*frame);
     ASSERT_TRUE(parsed.has_value());
-    const auto req = rdma::parse_request(parsed->payload);
+    const auto req = check::reference_parse_request(parsed->payload);
     ASSERT_TRUE(req.has_value());
     EXPECT_EQ(req->bth.psn, want_psn++);
   }
