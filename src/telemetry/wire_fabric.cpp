@@ -580,15 +580,7 @@ core::OperatorClient& WireFabric::attach_operator(std::uint64_t mgmt_latency_ns)
   if (operator_) return *operator_;
 
   operator_crafter_ = std::make_unique<core::ReportCrafter>(config_.dart);
-  mgmt_arp_ =
-      std::make_shared<std::vector<std::pair<net::Ipv4Addr, net::NodeId>>>();
-  auto arp = mgmt_arp_;  // shared with the resolver closures
-  auto resolver = [arp](net::Ipv4Addr ip) -> std::optional<net::NodeId> {
-    for (const auto& [addr, node] : *arp) {
-      if (addr == ip) return node;
-    }
-    return std::nullopt;
-  };
+  mgmt_resolver_ = [this](net::Ipv4Addr ip) { return mgmt_node_of(ip); };
 
   std::vector<net::Ipv4Addr> service_ips;
   for (std::uint32_t c = 0; c < cluster_->size(); ++c) {
@@ -596,7 +588,7 @@ core::OperatorClient& WireFabric::attach_operator(std::uint64_t mgmt_latency_ns)
                                                static_cast<std::uint8_t>(c));
     service_ips.push_back(ip);
     query_services_.push_back(std::make_unique<core::QueryServiceNode>(
-        cluster_->collector(c), ip, resolver));
+        cluster_->collector(c), ip, mgmt_resolver_));
     // Ownership hash for takeover marking: a served key whose hashed owner
     // is under takeover gets the degraded flag (docs/FAULTS.md).
     query_services_.back()->set_deployment(&cluster_->crafter(),
@@ -606,14 +598,14 @@ core::OperatorClient& WireFabric::attach_operator(std::uint64_t mgmt_latency_ns)
   }
   const auto operator_ip = net::Ipv4Addr::from_octets(10, 9, 9, 9);
   operator_ = std::make_unique<core::OperatorClient>(
-      *operator_crafter_, operator_ip, service_ips, resolver);
+      *operator_crafter_, operator_ip, service_ips, mgmt_resolver_);
   if (selector_) operator_->set_selector(selector_.get());
 
   const auto op_node = sim_.add_node(*operator_);
-  arp->emplace_back(operator_ip, op_node);
+  mgmt_nodes_.emplace(operator_ip.value, op_node);
   for (std::uint32_t c = 0; c < query_services_.size(); ++c) {
     const auto node = sim_.add_node(*query_services_[c]);
-    arp->emplace_back(service_ips[c], node);
+    mgmt_nodes_.emplace(service_ips[c].value, node);
     sim_.connect(op_node, node, mgmt_latency_ns);
   }
   return *operator_;
@@ -621,15 +613,7 @@ core::OperatorClient& WireFabric::attach_operator(std::uint64_t mgmt_latency_ns)
 
 query::QueryGateway& WireFabric::attach_gateway(std::uint64_t mgmt_latency_ns) {
   if (gateway_) return *gateway_;
-  (void)attach_operator(mgmt_latency_ns);  // services + ARP + crafter
-
-  auto arp = mgmt_arp_;
-  auto resolver = [arp](net::Ipv4Addr ip) -> std::optional<net::NodeId> {
-    for (const auto& [addr, node] : *arp) {
-      if (addr == ip) return node;
-    }
-    return std::nullopt;
-  };
+  (void)attach_operator(mgmt_latency_ns);  // services, resolver, crafter
 
   query::QueryGatewayConfig gw_config;
   gw_config.gateway_ip = net::Ipv4Addr::from_octets(10, 9, 2, 254);
@@ -643,38 +627,39 @@ query::QueryGateway& WireFabric::attach_gateway(std::uint64_t mgmt_latency_ns) {
   // fails fast.
   gw_config.request_timeout_ns = 8 * mgmt_latency_ns + 1'000'000;
   gateway_ = std::make_unique<query::QueryGateway>(
-      gw_config, *operator_crafter_, resolver);
+      gw_config, *operator_crafter_, mgmt_resolver_);
   if (selector_) gateway_->set_selector(selector_.get());
 
   const auto gw_node = sim_.add_node(*gateway_);
-  arp->emplace_back(gw_config.gateway_ip, gw_node);
+  mgmt_nodes_.emplace(gw_config.gateway_ip.value, gw_node);
   for (std::uint32_t c = 0; c < cluster_->size(); ++c) {
-    arp->emplace_back(gw_config.virtual_ips[c], gw_node);
+    mgmt_nodes_.emplace(gw_config.virtual_ips[c].value, gw_node);
   }
   // Gateway ↔ every service, and gateway ↔ the plain operator (so the
   // existing operator can subscribe to standing queries directly).
   for (std::uint32_t c = 0; c < query_services_.size(); ++c) {
-    sim_.connect(gw_node, sim_node_of(query_services_[c]->ip()), mgmt_latency_ns);
+    sim_.connect(gw_node, *mgmt_node_of(query_services_[c]->ip()),
+                 mgmt_latency_ns);
   }
-  sim_.connect(gw_node, sim_node_of(operator_->ip()), mgmt_latency_ns);
+  sim_.connect(gw_node, *mgmt_node_of(operator_->ip()), mgmt_latency_ns);
 
   // Gateway-fronted operator: same client code, but its "services" are the
   // gateway's virtual IPs — all traffic rides the gateway transparently.
   const auto gw_operator_ip = net::Ipv4Addr::from_octets(10, 9, 9, 10);
   gateway_operator_ = std::make_unique<core::OperatorClient>(
-      *operator_crafter_, gw_operator_ip, gw_config.virtual_ips, resolver);
+      *operator_crafter_, gw_operator_ip, gw_config.virtual_ips,
+      mgmt_resolver_);
   if (selector_) gateway_operator_->set_selector(selector_.get());
   const auto gw_op_node = sim_.add_node(*gateway_operator_);
-  arp->emplace_back(gw_operator_ip, gw_op_node);
+  mgmt_nodes_.emplace(gw_operator_ip.value, gw_op_node);
   sim_.connect(gw_op_node, gw_node, mgmt_latency_ns);
   return *gateway_;
 }
 
-net::NodeId WireFabric::sim_node_of(net::Ipv4Addr ip) const {
-  for (const auto& [addr, node] : *mgmt_arp_) {
-    if (addr == ip) return node;
-  }
-  return net::kInvalidNode;
+std::optional<net::NodeId> WireFabric::mgmt_node_of(net::Ipv4Addr ip) const {
+  const auto it = mgmt_nodes_.find(ip.value);
+  if (it == mgmt_nodes_.end()) return std::nullopt;
+  return it->second;
 }
 
 void WireFabric::send_flow(const FiveTuple& flow, std::uint32_t src_host,

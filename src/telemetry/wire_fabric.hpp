@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -212,7 +213,9 @@ class WireFabric {
                         const std::string& prefix = "dart");
 
  private:
-  [[nodiscard]] net::NodeId sim_node_of(net::Ipv4Addr ip) const;
+  // The simulator node that holds management-plane address `ip` (the
+  // operators, services, gateway and its virtual IPs), or nullopt.
+  [[nodiscard]] std::optional<net::NodeId> mgmt_node_of(net::Ipv4Addr ip) const;
 
   WireFabricConfig config_;
   switchsim::FatTree topo_;
@@ -226,11 +229,14 @@ class WireFabric {
   std::vector<net::LinkId> monitoring_links_;  // switch→collector underlay
   std::vector<std::byte> payload_;  // send_flow's payload, reused per call
 
-  // Management plane (created by attach_operator).
+  // Management plane (created by attach_operator). Address → node, filled
+  // as nodes join; the one resolver every management node sends through
+  // reads it (via mgmt_node_of), and outlives them all.
+  std::unordered_map<std::uint32_t, net::NodeId> mgmt_nodes_;
+  core::IpResolver mgmt_resolver_;
   std::unique_ptr<core::ReportCrafter> operator_crafter_;
   std::vector<std::unique_ptr<core::QueryServiceNode>> query_services_;
   std::unique_ptr<core::OperatorClient> operator_;
-  std::shared_ptr<std::vector<std::pair<net::Ipv4Addr, net::NodeId>>> mgmt_arp_;
 
   // Gateway plane (created by attach_gateway).
   std::unique_ptr<query::QueryGateway> gateway_;
