@@ -34,13 +34,14 @@ run_asan() {
   # SIMD dispatch parity: the tier-1 pass above ran the CRC/hash parity and
   # burst-ingest property suites with the SIMD kernels active (when the host
   # has them); run them again with DART_NO_SIMD=1 so UBSan+ASan watch the
-  # forced-scalar arm of every dispatched kernel too.
+  # forced-scalar arm of every dispatched kernel too. PropRoce rides the
+  # RNIC's iCRC, which runs on the dispatched CRC kernel.
   echo "== asan: forced-scalar dispatch (DART_NO_SIMD=1) =="
   DART_NO_SIMD=1 \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --test-dir "$dir" --output-on-failure \
-      -R 'CrcParity|XxBatchParity|HashFamilyBatch|PropBurst|PropWire|PropCraft'
+      -R 'CrcParity|XxBatchParity|HashFamilyBatch|PropBurst|PropWire|PropCraft|PropRoce'
   echo "asan: clean"
 }
 
