@@ -602,10 +602,10 @@ core::OperatorClient& WireFabric::attach_operator(std::uint64_t mgmt_latency_ns)
   if (selector_) operator_->set_selector(selector_.get());
 
   const auto op_node = sim_.add_node(*operator_);
-  mgmt_nodes_.emplace(operator_ip.value, op_node);
+  mgmt_nodes_.emplace_back(operator_ip, op_node);
   for (std::uint32_t c = 0; c < query_services_.size(); ++c) {
     const auto node = sim_.add_node(*query_services_[c]);
-    mgmt_nodes_.emplace(service_ips[c].value, node);
+    mgmt_nodes_.emplace_back(service_ips[c], node);
     sim_.connect(op_node, node, mgmt_latency_ns);
   }
   return *operator_;
@@ -631,9 +631,9 @@ query::QueryGateway& WireFabric::attach_gateway(std::uint64_t mgmt_latency_ns) {
   if (selector_) gateway_->set_selector(selector_.get());
 
   const auto gw_node = sim_.add_node(*gateway_);
-  mgmt_nodes_.emplace(gw_config.gateway_ip.value, gw_node);
+  mgmt_nodes_.emplace_back(gw_config.gateway_ip, gw_node);
   for (std::uint32_t c = 0; c < cluster_->size(); ++c) {
-    mgmt_nodes_.emplace(gw_config.virtual_ips[c].value, gw_node);
+    mgmt_nodes_.emplace_back(gw_config.virtual_ips[c], gw_node);
   }
   // Gateway ↔ every service, and gateway ↔ the plain operator (so the
   // existing operator can subscribe to standing queries directly).
@@ -651,15 +651,16 @@ query::QueryGateway& WireFabric::attach_gateway(std::uint64_t mgmt_latency_ns) {
       mgmt_resolver_);
   if (selector_) gateway_operator_->set_selector(selector_.get());
   const auto gw_op_node = sim_.add_node(*gateway_operator_);
-  mgmt_nodes_.emplace(gw_operator_ip.value, gw_op_node);
+  mgmt_nodes_.emplace_back(gw_operator_ip, gw_op_node);
   sim_.connect(gw_op_node, gw_node, mgmt_latency_ns);
   return *gateway_;
 }
 
 std::optional<net::NodeId> WireFabric::mgmt_node_of(net::Ipv4Addr ip) const {
-  const auto it = mgmt_nodes_.find(ip.value);
-  if (it == mgmt_nodes_.end()) return std::nullopt;
-  return it->second;
+  for (const auto& [addr, node] : mgmt_nodes_) {
+    if (addr == ip) return node;
+  }
+  return std::nullopt;
 }
 
 void WireFabric::send_flow(const FiveTuple& flow, std::uint32_t src_host,

@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -229,10 +229,10 @@ class WireFabric {
   std::vector<net::LinkId> monitoring_links_;  // switch→collector underlay
   std::vector<std::byte> payload_;  // send_flow's payload, reused per call
 
-  // Management plane (created by attach_operator). Address → node, filled
-  // as nodes join; the one resolver every management node sends through
+  // Management plane (created by attach_operator). Address → node, in the
+  // order nodes join; the one resolver every management node sends through
   // reads it (via mgmt_node_of), and outlives them all.
-  std::unordered_map<std::uint32_t, net::NodeId> mgmt_nodes_;
+  std::vector<std::pair<net::Ipv4Addr, net::NodeId>> mgmt_nodes_;
   core::IpResolver mgmt_resolver_;
   std::unique_ptr<core::ReportCrafter> operator_crafter_;
   std::vector<std::unique_ptr<core::QueryServiceNode>> query_services_;
