@@ -101,7 +101,7 @@ void build_udp_frame_into(const UdpFrameSpec& spec,
   }
 }
 
-std::optional<std::span<const std::byte>> udp_frame_payload(
+std::optional<std::size_t> udp_payload_length(
     std::span<const std::byte> frame) noexcept {
   if (frame.size() < kUdpFrameHeaderLen) return std::nullopt;
   const std::byte* p = frame.data();
@@ -121,16 +121,19 @@ std::optional<std::span<const std::byte>> udp_frame_payload(
   if (internet_checksum(frame.subspan<kIp, kIpv4HeaderLen>()) != 0) {
     return std::nullopt;
   }
-  return frame.subspan(kUdpFrameHeaderLen, udp_length - kUdpHeaderLen);
+  return udp_length - kUdpHeaderLen;
 }
 
 std::optional<ParsedUdpFrame> parse_udp_frame(
     std::span<const std::byte> frame) noexcept {
-  const auto payload = udp_frame_payload(frame);
-  if (!payload) return std::nullopt;
+  const auto payload_len = udp_payload_length(frame);
+  if (!payload_len) return std::nullopt;
   const std::byte* p = frame.data();
 
-  ParsedUdpFrame parsed;
+  // Filled in place, not built on the stack and copied into the optional:
+  // every switch hop parses a frame.
+  std::optional<ParsedUdpFrame> out(std::in_place);
+  ParsedUdpFrame& parsed = *out;
   std::memcpy(parsed.eth.dst.data(), p, parsed.eth.dst.size());
   std::memcpy(parsed.eth.src.data(), p + 6, parsed.eth.src.size());
   parsed.eth.ether_type = kEtherTypeIpv4;
@@ -146,8 +149,8 @@ std::optional<ParsedUdpFrame> parse_udp_frame(
   parsed.udp.dst_port = load_be16(p + kL4 + 2);
   parsed.udp.length = load_be16(p + kL4 + 4);
   parsed.udp.checksum = load_be16(p + kL4 + 6);
-  parsed.payload = *payload;
-  return parsed;
+  parsed.payload = frame.subspan(kUdpFrameHeaderLen, *payload_len);
+  return out;
 }
 
 }  // namespace dart::net

@@ -138,13 +138,14 @@ struct ParsedUdpFrame {
 // reads: the frame holds the 42 header bytes, the ethertype is 0x0800, the
 // version/IHL byte is 0x45, the IPv4 header checksum is valid, the protocol
 // is UDP or (simplified) TCP, and the UDP length is at least 8 and within
-// the frame. Returns the payload, the UDP length's worth (trailing bytes are
-// ignored), or nullopt for a frame the rule refuses. The RNIC's receive path
-// reads only this; parse_udp_frame fills its struct behind it.
-[[nodiscard]] std::optional<std::span<const std::byte>> udp_frame_payload(
+// the frame. Returns the payload length, the UDP length's worth (the
+// payload starts at kUdpFrameHeaderLen; trailing bytes are ignored), or
+// nullopt for a frame the rule refuses. The RNIC's receive path reads only
+// this; parse_udp_frame fills its struct behind it.
+[[nodiscard]] std::optional<std::size_t> udp_payload_length(
     std::span<const std::byte> frame) noexcept;
 
-// Parses a frame udp_frame_payload accepts into its header fields; nullopt
+// Parses a frame udp_payload_length accepts into its header fields; nullopt
 // for any other.
 [[nodiscard]] std::optional<ParsedUdpFrame> parse_udp_frame(
     std::span<const std::byte> frame) noexcept;

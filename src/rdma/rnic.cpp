@@ -103,7 +103,8 @@ std::size_t SimulatedRnic::process_frames(
     LookupCache lc;
 
     // Stage 1: stateless classification — header checks, iCRC and request
-    // fields — for the whole chunk. No RNIC state is read or written here beyond counters.
+    // fields — for the whole chunk. No RNIC state is read or written here
+    // beyond counters.
     for (std::size_t i = 0; i < m; ++i) {
       ++counters_.frames;
       stalled[i] = consume_stall();

@@ -54,7 +54,7 @@ std::size_t serialize_write(BufWriter& w, const Bth& bth, const Reth& reth,
   reth.serialize(w);
   w.bytes(payload);
   const std::size_t icrc_off = w.size();
-  w.zeros(kIcrcLen);  // the frame's iCRC goes here once it is framed
+  w.zeros(kIcrcLen);  // iCRC slot, filled once the whole frame exists
   return icrc_off;
 }
 
@@ -121,16 +121,16 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
   constexpr std::size_t kRoceOff = net::kUdpFrameHeaderLen;
 
   WireClass out;
-  const auto udp_payload = net::udp_frame_payload(frame);
-  if (!udp_payload) return out;
+  const auto udp_len = net::udp_payload_length(frame);
+  if (!udp_len) return out;
+  const std::size_t payload_len = *udp_len;
   const std::byte* f = frame.data();
   out.udp_dst_port = load_be16(f + kEth + net::kIpv4HeaderLen + 2);
-  out.udp_payload = *udp_payload;
+  out.udp_payload = frame.subspan(kRoceOff, payload_len);
   if (out.udp_dst_port != net::kRoceV2UdpPort) {
     out.verdict = V::kOtherPort;
     return out;
   }
-  const std::size_t payload_len = udp_payload->size();
   if (payload_len < kBthLen + kIcrcLen) {
     out.verdict = check_icrc ? V::kBadIcrc : V::kBadRequest;
     return out;
@@ -143,17 +143,20 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
     // folds) as far as the stack copy reaches; a longer frame streams the
     // rest straight from the wire. CRC streaming is associative over
     // concatenation, so this equals icrc_prefix_state resumed over the
-    // variant bytes.
+    // variant bytes. The raw-state steps are the ones Crc32::update runs.
     const std::size_t covered = icrc_off - kEth;
     const std::size_t head = std::min(covered, kImageBytes);
     alignas(16) std::byte image[kLrhLen + kImageBytes];
     icrc_masked_image(f, head, image);
-    Crc32 crc;
-    crc.update({image, kLrhLen + head});
-    if (head < covered) crc.update(frame.subspan(kEth + head, covered - head));
+    std::uint32_t state = dart::detail::crc32_update_dispatch(
+        0xFFFF'FFFFu, image, kLrhLen + head);
+    if (head < covered) {
+      state = dart::detail::crc32_update_dispatch(state, f + kEth + head,
+                                                  covered - head);
+    }
     std::uint32_t got;
     std::memcpy(&got, f + icrc_off, kIcrcLen);
-    if (got != crc.value()) {
+    if (got != ~state) {
       out.verdict = V::kBadIcrc;
       return out;
     }

@@ -6,8 +6,8 @@
 // is a UDP datagram to port 4791 carrying BTH+RETH+payload+iCRC, i.e. an
 // RDMA WRITE ONLY operation aimed at a hash-chosen collector address. The
 // simulated RNIC decodes every inbound frame with classify_wire_frame, one
-// pass at fixed offsets, so the switch and NIC must agree bit-for-bit. The
-// layered per-header decode it replaced is the reference in
+// pass at fixed offsets, so the switch and NIC must agree bit-for-bit. Its
+// layered twin, one header at a time, is the reference in
 // src/check/reference_roce.hpp, and the RoCE property
 // (tests/check/test_prop_roce.cpp) diffs the two.
 //
@@ -117,7 +117,7 @@ inline constexpr std::size_t kIcrcVariantOffset =
 
 // Streaming-CRC state over the masked invariant prefix of `frame`: the 8
 // dummy-LRH 0xFF bytes, the masked IPv4 and UDP headers, and BTH bytes 0..7
-// with resv8a masked. Resuming this state over
+// with resv8a masked, as classify_wire_frame masks them. Resuming this state over
 // frame[kIcrcVariantOffset .. icrc) yields the full iCRC. The report
 // crafter's frame templates cache this state once per (endpoint, collector)
 // pair so per-report iCRC work shrinks to the ~50 variant bytes. `frame`
@@ -130,7 +130,7 @@ inline constexpr std::size_t kIcrcVariantOffset =
 //
 // classify_wire_frame decides every inbound frame in one pass: the
 // Ethernet/IPv4/UDP acceptance rule of net::parse_udp_frame (shared through
-// net::udp_frame_payload), the UDP port, the masked iCRC and the request
+// net::udp_payload_length), the UDP port, the masked iCRC and the request
 // fields. Its verdicts, in the order they are decided:
 //   1. a frame the UDP rule refuses is kNotUdp (IPv4 options, other
 //      protocols than UDP and the simulator's TCP, a bad header checksum, a
