@@ -184,12 +184,7 @@ void refresh_icrc(std::vector<std::byte>& f) {
   (void)reference_finalize_frame_icrc(f);
 }
 
-struct Built {
-  Shape shape;
-  std::vector<std::byte> frame;
-};
-
-Built gen_frame(Rng& rng, std::uint32_t rkey) {
+std::vector<std::byte> gen_frame(Rng& rng, std::uint32_t rkey) {
   const auto shape =
       static_cast<Shape>(rng.below(static_cast<int>(Shape::kCount)));
   net::UdpFrameSpec spec;
@@ -219,7 +214,7 @@ Built gen_frame(Rng& rng, std::uint32_t rkey) {
   // A datagram sometimes carries a valid iCRC over its random bytes, so a
   // garbage BTH reaches the request parse.
   if (is_roce(shape) || rng.chance(0.5)) refresh_icrc(frame);
-  return {shape, std::move(frame)};
+  return frame;
 }
 
 enum class Damage : std::uint8_t {
@@ -297,12 +292,13 @@ std::vector<std::vector<std::byte>> damaged(Rng& rng,
     }
     case Damage::kTruncations: {
       const std::size_t head = std::min<std::size_t>(base.size(), 96);
-      for (std::size_t n = 0; n < head; ++n) {
-        out.emplace_back(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(n));
-      }
+      const auto cut = [&base](std::size_t n) {
+        const auto end = base.begin() + static_cast<std::ptrdiff_t>(n);
+        return std::vector<std::byte>(base.begin(), end);
+      };
+      for (std::size_t n = 0; n < head; ++n) out.push_back(cut(n));
       for (int i = 0; i < 16 && base.size() > head; ++i) {
-        const auto n = rng.range(head, base.size() - 1);
-        out.emplace_back(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(n));
+        out.push_back(cut(rng.range(head, base.size() - 1)));
       }
       break;
     }
@@ -473,16 +469,16 @@ enum class Outcome : std::uint8_t {
 };
 
 constexpr std::array<const char*, static_cast<int>(Outcome::kCount)>
-    kOutcomeNames = {"not_roce",     "bad_icrc",         "bad_opcode",
-                     "unknown_qp",   "bad_rkey",         "out_of_bounds",
+    kOutcomeNames = {"not_roce",   "bad_icrc", "bad_opcode",
+                     "unknown_qp", "bad_rkey", "out_of_bounds",
                      "unaligned_atomic", "executed"};
 
 using Tally = std::array<std::uint64_t, static_cast<int>(Outcome::kCount)>;
 
 Tally tally(const rdma::RnicCounters& c) {
-  return {c.not_roce.load(),     c.bad_icrc.load(),
-          c.bad_opcode.load(),   c.unknown_qp.load(),
-          c.bad_rkey.load(),     c.out_of_bounds.load(),
+  return {c.not_roce.load(),   c.bad_icrc.load(),
+          c.bad_opcode.load(), c.unknown_qp.load(),
+          c.bad_rkey.load(),   c.out_of_bounds.load(),
           c.unaligned_atomic.load(), c.executed.load()};
 }
 
@@ -705,11 +701,11 @@ std::optional<Failure> roce_case(Rng& rng, Coverage& cov, bool ingest) {
   // classifier alone has no use for it.
   const std::uint32_t rkey = ingest ? single[0]->rkey : 0;
 
-  const auto built = gen_frame(rng, rkey);
+  const auto base = gen_frame(rng, rkey);
   const auto damage =
       static_cast<Damage>(rng.below(static_cast<int>(Damage::kCount)));
   ++cov.by_damage[static_cast<int>(damage)];
-  const auto frames = damaged(rng, built.frame, damage);
+  const auto frames = damaged(rng, base, damage);
 
   for (const auto& frame : frames) {
     const auto fail = [&frame](std::string why) {
@@ -766,7 +762,7 @@ std::optional<Failure> roce_case(Rng& rng, Coverage& cov, bool ingest) {
         burst[i]->memory != single[i]->memory) {
       return Failure{"process_frames of " + std::to_string(frames.size()) +
                          " frames ends unlike process_frame one at a time",
-                     built.frame};
+                     base};
     }
   }
   return std::nullopt;
@@ -801,7 +797,7 @@ TEST(PropRoce, RnicExecutesExactlyTheReferenceRequests) {
 std::optional<Failure> prefix_property(Rng& rng) {
   std::vector<std::byte> frame;
   do {
-    frame = gen_frame(rng, 0).frame;
+    frame = gen_frame(rng, 0);
   } while (frame.size() <
            net::kUdpFrameHeaderLen + rdma::kBthLen + rdma::kIcrcLen);
   // A frame as the crafter builds it: to port 4791, iCRC in place.
