@@ -121,9 +121,9 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
   constexpr std::size_t kRoceOff = net::kUdpFrameHeaderLen;
 
   WireClass out;
-  const auto udp_len = net::udp_payload_length(frame);
-  if (!udp_len) return out;
-  const std::size_t payload_len = *udp_len;
+  const auto udp_payload_len = net::udp_payload_length(frame);
+  if (!udp_payload_len) return out;
+  const std::size_t payload_len = *udp_payload_len;
   const std::byte* f = frame.data();
   out.udp_dst_port = load_be16(f + kEth + net::kIpv4HeaderLen + 2);
   out.udp_payload = frame.subspan(kRoceOff, payload_len);
