@@ -7,7 +7,8 @@
 // the byte-pair loop. Nothing here calls the production header code, so the
 // header property (tests/check/test_prop_headers.cpp) can diff parse
 // verdicts, every parsed field, checksums and built frames against it.
-// Only tests use it.
+// Only tests, the RoCE reference and the golden and corpus generators use
+// it.
 #pragma once
 
 #include <cstdint>
