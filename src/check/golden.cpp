@@ -278,6 +278,27 @@ std::vector<Trace> canonical_golden_traces() {
 
   {
     Trace t;
+    t.name = "sketch_increment_reports";
+    t.notes = {"Sketch fan-out frames: FETCH_ADD on every row's cell of",
+               "sim_key(1..3) in a sketch-backed golden collector (the",
+               "default 4 x 2048 count-min sheet), deltas 0x10101 * k,",
+               "sequential PSNs key-major."};
+    const core::StoreBackendConfig choice{core::StoreBackendKind::kSketch, {}};
+    core::Collector sketch_collector(cfg, 0, dep.collector_endpoint, choice);
+    const auto dst_sketch = sketch_collector.remote_info();
+    std::uint32_t psn = 0;
+    for (std::uint64_t k = 1; k <= 3; ++k) {
+      for (std::uint32_t row = 0; row < choice.sketch.rows; ++row) {
+        t.artifacts.push_back(crafter.craft_sketch_increment(
+            dst_sketch, dep.reporter, choice.sketch, core::sim_key(k), row,
+            0x10101ull * k, psn++));
+      }
+    }
+    traces.push_back(std::move(t));
+  }
+
+  {
+    Trace t;
     t.name = "postcard_reports";
     t.notes = {"DTA Postcarding frames: flows sim_key(1..2), hops 0..2 each",
                "(a partial group — golden max_hops is 8), golden values",

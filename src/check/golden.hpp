@@ -78,6 +78,8 @@ struct GoldenDeployment {
 //   atomic_reports     FETCH_ADD and COMPARE_SWAP frames
 //   multiwrite_reports §7 DTA multiwrite frames
 //   query_wire         v2 query request/response payloads (UDP payload only)
+//   sketch_increment_reports  per-row FETCH_ADDs into a sketch collector
+// plus the DTA primitive traces and the cht_ring16 owner tables.
 [[nodiscard]] std::vector<Trace> canonical_golden_traces();
 
 // Canonical must-reject corpus seeds: every artifact is a full Ethernet

@@ -231,6 +231,47 @@ TEST(GoldenTrace, KeyIncrementReportsReplayAggregates) {
   }
 }
 
+// The sketch fan-out on the wire: every row's FETCH_ADD of sim_key(1..3)
+// lands in a fresh sketch collector, so each key's count-min estimate is
+// its delta, and the switch's template path crafts each committed frame
+// byte for byte from the same (key, row, delta, PSN).
+TEST(GoldenTrace, SketchIncrementReportsReplayEstimatesEveryKey) {
+  const auto committed = committed_traces();
+  const auto it = committed.find("sketch_increment_reports");
+  ASSERT_NE(it, committed.end());
+  const core::StoreBackendConfig choice{core::StoreBackendKind::kSketch, {}};
+  const auto& sketch = choice.sketch;
+  ASSERT_EQ(it->second.artifacts.size(), 3u * sketch.rows);
+
+  const auto dep = golden_deployment();
+  core::Collector collector(dep.config, 0, dep.collector_endpoint, choice);
+  for (const auto& frame : it->second.artifacts) {
+    collector.rnic().process_frame(frame);
+  }
+  EXPECT_EQ(collector.ingest_counters().fetch_adds.load(), 3u * sketch.rows);
+  EXPECT_EQ(collector.ingest_counters().executed.load(), 3u * sketch.rows);
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    EXPECT_EQ(collector.sketch().estimate(core::sim_key(k)), 0x10101ull * k)
+        << "key " << k;
+  }
+
+  const core::ReportCrafter crafter(dep.config);
+  const auto tpl = crafter.make_atomic_template(
+      collector.remote_info(), dep.reporter, rdma::Opcode::kRcFetchAdd);
+  std::vector<std::byte> frame(tpl.frame_size());
+  std::uint32_t psn = 0;
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    for (std::uint32_t row = 0; row < sketch.rows; ++row, ++psn) {
+      ASSERT_EQ(crafter.craft_sketch_increment_into(tpl, sketch,
+                                                    core::sim_key(k), row,
+                                                    0x10101ull * k, psn, frame),
+                frame.size());
+      EXPECT_EQ(frame, it->second.artifacts[psn])
+          << "key " << k << " row " << row;
+    }
+  }
+}
+
 TEST(GoldenTrace, PostcardReportsReplayAssemblePartialGroups) {
   const auto committed = committed_traces();
   const auto it = committed.find("postcard_reports");
