@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cas_insert_store.hpp"
 #include "common/table.hpp"
-#include "core/atomics_store.hpp"
 #include "core/oracle.hpp"
 #include "core/query.hpp"
 #include "core/store.hpp"

@@ -13,11 +13,10 @@
 //
 // Build & run:  ./build/examples/rdma_aggregation
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "common/random.hpp"
-#include "core/atomics_store.hpp"
+#include "core/cell_sheet.hpp"
 #include "core/report_crafter.hpp"
 #include "rdma/rnic.hpp"
 #include "switchsim/topology.hpp"
@@ -42,10 +41,15 @@ int main() {
       pd, memory, kBase, rdma::Access::kRemoteWrite | rdma::Access::kRemoteAtomic);
   (void)rnic.create_qp(0x200, rdma::QpType::kRc, pd, rdma::PsnPolicy::kIgnore);
 
-  // Index layouts shared by switches and the operator (stateless, like the
-  // slot mapping): local reference objects provide the cell indices.
-  FlowCounterArray counter_index(kCounterCells, /*seed=*/0xC0);
-  CountMinSketch sketch_index(kSketchRows, kSketchCols, /*seed=*/0x55);
+  // Two cell sheets over the one MR: a flat counter array, then the sketch.
+  // Switches craft from their geometries (stateless, like the slot mapping);
+  // the operator reads collector memory through them.
+  const std::span<std::byte> words(memory);
+  const CellSheet counters(CellGeometry::flat(kCounterCells, /*seed=*/0xC0),
+                           words.first(kCounterCells * 8));
+  const CellSheet sketch(
+      CellGeometry::count_min(kSketchRows, kSketchCols, /*seed=*/0x55),
+      words.subspan(kCounterCells * 8));
 
   RemoteStoreInfo dst;
   dst.collector_id = 0;
@@ -81,13 +85,14 @@ int main() {
       const auto key = flow.tuple.key_bytes();
 
       // (a) per-flow counter cell.
-      const std::uint64_t cell = counter_index.index_of(key);
+      const std::uint64_t cell = counters.geometry().cell_of(key, 0);
       crafter.craft_fetch_add_into(tpl, kBase + cell * 8, 1, psn++, frame);
       (void)rnic.process_frame(frame);
 
       // (b) the sketch's d cells.
-      for (const auto sketch_cell : sketch_index.cell_indices(key)) {
-        const std::uint64_t word = kCounterCells + sketch_cell;
+      for (std::uint32_t r = 0; r < kSketchRows; ++r) {
+        const std::uint64_t word =
+            kCounterCells + sketch.geometry().cell_of(key, r);
         crafter.craft_fetch_add_into(tpl, kBase + word * 8, 1, psn++, frame);
         (void)rnic.process_frame(frame);
       }
@@ -97,22 +102,12 @@ int main() {
               "(switch SRAM used for counters: 0 bytes).\n",
               static_cast<unsigned long long>(rnic.counters().fetch_adds));
 
-  // Operator reads collector memory directly.
-  auto read_word = [&](std::uint64_t word) {
-    std::uint64_t v;
-    std::memcpy(&v, memory.data() + word * 8, 8);
-    return v;
-  };
-
   std::printf("\nTop-5 flows — truth vs counter cell vs sketch estimate:\n");
   for (int rank = 0; rank < 5; ++rank) {
     const auto& flow = sampler.flow(rank);
     const auto key = flow.tuple.key_bytes();
-    const std::uint64_t counter = read_word(counter_index.index_of(key));
-    std::uint64_t sketch_est = UINT64_MAX;
-    for (const auto cell : sketch_index.cell_indices(key)) {
-      sketch_est = std::min(sketch_est, read_word(kCounterCells + cell));
-    }
+    const std::uint64_t counter = counters.estimate(key);
+    const std::uint64_t sketch_est = sketch.estimate(key);
     std::printf("  %-34s truth=%-6llu counter=%-6llu sketch>=%llu\n",
                 flow.tuple.str().c_str(),
                 static_cast<unsigned long long>(truth[rank]),

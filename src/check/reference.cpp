@@ -86,7 +86,7 @@ core::QueryResult reference_resolve(std::span<const core::SlotView> slots,
 void ReferenceFabric::enable_primitives(
     const core::DtaPrimitivesConfig& config) {
   ring_ = std::make_unique<core::AppendRing>(config.ring);
-  counters_ = std::make_unique<core::CounterCellArray>(config.counters);
+  counters_ = std::make_unique<core::CellSheet>(config.counters.geometry());
   postcards_ = std::make_unique<core::PostcardStore>(config.postcards);
 }
 

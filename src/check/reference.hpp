@@ -104,9 +104,7 @@ class ReferenceFabric {
   // sequence number without landing, which is exactly the hole the ring
   // reader's `missed` accounting must absorb.
   [[nodiscard]] core::AppendRing& ring() noexcept { return *ring_; }
-  [[nodiscard]] core::CounterCellArray& counters() noexcept {
-    return *counters_;
-  }
+  [[nodiscard]] core::CellSheet& counters() noexcept { return *counters_; }
   [[nodiscard]] core::PostcardStore& postcards() noexcept {
     return *postcards_;
   }
@@ -119,7 +117,7 @@ class ReferenceFabric {
   std::uint64_t applied_ = 0;
   std::uint64_t cas_mismatches_ = 0;
   std::unique_ptr<core::AppendRing> ring_;
-  std::unique_ptr<core::CounterCellArray> counters_;
+  std::unique_ptr<core::CellSheet> counters_;
   std::unique_ptr<core::PostcardStore> postcards_;
   std::uint64_t append_tail_ = 0;
 };

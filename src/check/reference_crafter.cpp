@@ -4,11 +4,26 @@
 
 #include "check/reference_roce.hpp"
 #include "common/bytes.hpp"
+#include "common/random.hpp"
 #include "net/headers.hpp"
 #include "rdma/multiwrite.hpp"
 #include "rdma/roce.hpp"
 
 namespace dart::check {
+
+std::uint64_t reference_counter_cell(std::span<const std::byte> key,
+                                     std::uint64_t seed, std::uint64_t n) {
+  return xxhash64(key, seed) % n;
+}
+
+std::uint64_t reference_sketch_cell(std::span<const std::byte> key,
+                                    std::uint64_t seed, std::uint32_t row,
+                                    std::uint64_t cols) {
+  SplitMix64 sm(seed);
+  std::uint64_t row_seed = sm.next();
+  for (std::uint32_t i = 0; i < row; ++i) row_seed = sm.next();
+  return static_cast<std::uint64_t>(row) * cols + xxhash64(key, row_seed) % cols;
+}
 
 std::vector<std::byte> ReferenceCrafter::craft_write(
     const core::RemoteStoreInfo& dst, const core::ReporterEndpoint& src,
@@ -150,8 +165,9 @@ std::vector<std::byte> ReferenceCrafter::craft_key_increment(
     const core::CounterArrayConfig& counters, std::span<const std::byte> key,
     std::uint64_t delta, std::uint32_t psn) const {
   assert(dst.slot_bytes == 8);
-  return craft_fetch_add(dst, src, dst.slot_vaddr(counters.index_of(key)),
-                         delta, psn);
+  const std::uint64_t cell =
+      reference_counter_cell(key, counters.seed, counters.n_counters);
+  return craft_fetch_add(dst, src, dst.slot_vaddr(cell), delta, psn);
 }
 
 std::vector<std::byte> ReferenceCrafter::craft_sketch_increment(
@@ -161,8 +177,9 @@ std::vector<std::byte> ReferenceCrafter::craft_sketch_increment(
   assert(dst.backend == core::StoreBackendKind::kSketch);
   assert(dst.slot_bytes == 8);
   assert(row < sketch.rows);
-  return craft_fetch_add(dst, src, dst.slot_vaddr(sketch.cell_of(key, row)),
-                         delta, psn);
+  const std::uint64_t cell =
+      reference_sketch_cell(key, sketch.seed, row, sketch.cols);
+  return craft_fetch_add(dst, src, dst.slot_vaddr(cell), delta, psn);
 }
 
 std::vector<std::byte> ReferenceCrafter::craft_postcard(

@@ -25,6 +25,20 @@
 
 namespace dart::check {
 
+// Reference cell addressing of the FETCH_ADD counter regions, written apart
+// from core::CellGeometry so the tests diff the production sheets against
+// it rather than against each other.
+//
+// Key-Increment: the cell of `key` among `n` counters.
+[[nodiscard]] std::uint64_t reference_counter_cell(
+    std::span<const std::byte> key, std::uint64_t seed, std::uint64_t n);
+// Count-min: row `row`'s cell of `key` in a row-major sheet `cols` wide.
+// The row's seed is found by walking SplitMix64 from `seed` to its
+// (row+1)-th output on every call.
+[[nodiscard]] std::uint64_t reference_sketch_cell(
+    std::span<const std::byte> key, std::uint64_t seed, std::uint32_t row,
+    std::uint64_t cols);
+
 class ReferenceCrafter {
  public:
   explicit ReferenceCrafter(const core::DartConfig& config)

@@ -77,8 +77,8 @@ Status Collector::enable_primitives(const DtaPrimitivesConfig& config) {
 
   regions->ring = std::make_unique<AppendRing>(
       config.ring, std::span<std::byte>(regions->ring_mem));
-  regions->counters = std::make_unique<CounterCellArray>(
-      config.counters, std::span<std::byte>(regions->counter_mem));
+  regions->counters = std::make_unique<CellSheet>(
+      config.counters.geometry(), std::span<std::byte>(regions->counter_mem));
   regions->postcards = std::make_unique<PostcardStore>(
       config.postcards, std::span<std::byte>(regions->postcard_mem));
 

@@ -22,11 +22,6 @@ std::uint64_t load_le64(const std::byte* p) noexcept {
 
 }  // namespace
 
-std::uint64_t CounterArrayConfig::index_of(
-    std::span<const std::byte> key) const noexcept {
-  return xxhash64(key, seed) % n_counters;
-}
-
 std::uint64_t PostcardConfig::group_of(
     std::span<const std::byte> flow_key) const noexcept {
   return xxhash64(flow_key, seed ^ kPostcardGroupSalt) % n_groups;
@@ -115,42 +110,6 @@ AppendRing::DrainResult AppendRing::drain(std::size_t max_entries) {
   missed_ += out.missed;
   out.next_seq = next_seq_;
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// CounterCellArray
-// ---------------------------------------------------------------------------
-
-CounterCellArray::CounterCellArray(const CounterArrayConfig& config)
-    : config_(config),
-      backing_(static_cast<std::size_t>(config.memory_bytes())) {
-  assert(config_.valid());
-}
-
-CounterCellArray::CounterCellArray(const CounterArrayConfig& config,
-                                   std::span<std::byte> memory)
-    : config_(config), backing_(memory) {
-  assert(config_.valid());
-  assert(memory.size() == config.memory_bytes());
-}
-
-std::uint64_t CounterCellArray::fetch_add(std::span<const std::byte> key,
-                                          std::uint64_t delta) {
-  std::byte* cell = backing_.memory().data() + config_.index_of(key) * 8;
-  const std::uint64_t prior = load_le64(cell);
-  const std::uint64_t next = prior + delta;
-  std::memcpy(cell, &next, 8);
-  return prior;
-}
-
-std::uint64_t CounterCellArray::read(
-    std::span<const std::byte> key) const noexcept {
-  return read_cell(config_.index_of(key));
-}
-
-std::uint64_t CounterCellArray::read_cell(std::uint64_t index) const noexcept {
-  assert(index < config_.n_counters);
-  return load_le64(backing_.memory().data() + index * 8);
 }
 
 // ---------------------------------------------------------------------------

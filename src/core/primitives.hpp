@@ -15,9 +15,9 @@
 //   Key-Increment— RDMA FETCH_ADD on a 64-bit counter cell addressed by
 //                  hash(key). Many switches add into one collector-side
 //                  array, so the array is the network-wide aggregate with no
-//                  merge step (the same path FlowCounterArray/CountMinSketch
-//                  model; here it gets its own MR-backed region and wire
-//                  crafting mode).
+//                  merge step. The array is a one-row cell sheet
+//                  (cell_sheet.hpp, CellGeometry::flat) over its own MR;
+//                  the sketch backend's count-min cells are the same type.
 //
 //   Postcarding  — per-hop INT postcards of one flow aggregate into a
 //                  contiguous *slot group*: group g = hash(flow) mod G, hop
@@ -36,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "core/cell_sheet.hpp"
 #include "core/store.hpp"
 
 namespace dart::core {
@@ -66,9 +67,14 @@ struct CounterArrayConfig {
   [[nodiscard]] constexpr std::uint64_t memory_bytes() const noexcept {
     return n_counters * 8;
   }
-  // Cell owning `key` — the same formula FlowCounterArray uses, so wire and
-  // sketch-reference paths agree cell-for-cell.
-  [[nodiscard]] std::uint64_t index_of(std::span<const std::byte> key) const noexcept;
+  // One row of n_counters cells, hashed with `seed` as given.
+  [[nodiscard]] CellGeometry geometry() const {
+    return CellGeometry::flat(n_counters, seed);
+  }
+  // Cell owning `key`.
+  [[nodiscard]] std::uint64_t index_of(std::span<const std::byte> key) const {
+    return geometry().cell_of(key, 0);
+  }
   [[nodiscard]] constexpr bool valid() const noexcept { return n_counters > 0; }
 };
 
@@ -178,38 +184,6 @@ class AppendRing {
   RegionBacking backing_;
   std::uint64_t next_seq_ = 1;  // first sequence number not yet returned
   std::uint64_t missed_ = 0;
-};
-
-// ---- Key-Increment ---------------------------------------------------------
-
-// Flat array of host-endian 64-bit counter cells over a byte region — the
-// FETCH_ADD target a Key-Increment frame addresses. Local fetch_add mirrors
-// the RNIC's semantics exactly (host-endian word, returns the prior value).
-class CounterCellArray {
- public:
-  explicit CounterCellArray(const CounterArrayConfig& config);
-  CounterCellArray(const CounterArrayConfig& config,
-                   std::span<std::byte> memory);
-
-  [[nodiscard]] const CounterArrayConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] std::span<std::byte> memory() noexcept {
-    return backing_.memory();
-  }
-  [[nodiscard]] std::span<const std::byte> memory() const noexcept {
-    return backing_.memory();
-  }
-
-  // Local FETCH_ADD; returns the value *before* the add (RDMA semantics).
-  std::uint64_t fetch_add(std::span<const std::byte> key, std::uint64_t delta);
-
-  [[nodiscard]] std::uint64_t read(std::span<const std::byte> key) const noexcept;
-  [[nodiscard]] std::uint64_t read_cell(std::uint64_t index) const noexcept;
-
- private:
-  CounterArrayConfig config_;
-  RegionBacking backing_;
 };
 
 // ---- Postcarding -----------------------------------------------------------

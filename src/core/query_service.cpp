@@ -163,8 +163,8 @@ std::vector<std::byte> QueryServiceNode::serve_primitive(
       break;
     }
     case PrimitiveOp::kReadCounter: {
-      const CounterCellArray& cells = collector_->counters();
-      response.cell_index = cells.config().index_of(request.key);
+      const CellSheet& cells = collector_->counters();
+      response.cell_index = cells.geometry().cell_of(request.key, 0);
       response.counter_value = cells.read_cell(response.cell_index);
       break;
     }

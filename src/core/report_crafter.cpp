@@ -349,10 +349,10 @@ std::size_t ReportCrafter::craft_key_increment_into(
 }
 
 std::size_t ReportCrafter::craft_sketch_increment_into(
-    const FrameTemplate& tpl, const SketchBackendConfig& sketch,
+    const FrameTemplate& tpl, const CellGeometry& sketch,
     std::span<const std::byte> key, std::uint32_t row, std::uint64_t delta,
     std::uint32_t psn, std::span<std::byte> out) const {
-  assert(row < sketch.rows);
+  assert(row < sketch.rows());
   return craft_fetch_add_into(
       tpl, tpl.dst_.slot_vaddr(sketch.cell_of(key, row)), delta, psn, out);
 }

@@ -29,11 +29,10 @@
 //                 recorded when estimate queries arrive, DTA's "query path
 //                 is the only CPU" discipline).
 //
-// Cell addressing of SketchBackend is IDENTICAL to core::CountMinSketch
-// (same SplitMix64 row-seed derivation, same xxhash64 column hash, same
-// row-major flattening), so a local reference sketch agrees cell-for-cell
-// with the wire path — the backend-differential property in dartcheck pins
-// this byte-for-byte.
+// SketchBackend's cells are a count-min cell sheet (cell_sheet.hpp): its
+// CellGeometry is the one the switch crafts the FETCH_ADDs with, and the
+// backend-differential property in dartcheck diffs the MR byte-for-byte
+// against a tally built from the reference addressing in src/check/.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +40,7 @@
 #include <span>
 #include <vector>
 
-#include "common/hash.hpp"
-#include "common/random.hpp"
+#include "core/cell_sheet.hpp"
 #include "core/config.hpp"
 #include "core/query.hpp"
 #include "core/store.hpp"
@@ -57,8 +55,8 @@ enum class StoreBackendKind : std::uint8_t {
 [[nodiscard]] const char* to_string(StoreBackendKind kind) noexcept;
 
 // Geometry + seeds of a sketch-backed collector region. Shared verbatim by
-// the collector (MR layout), the switch (FETCH_ADD crafting), and the
-// reference sketch (differential tests) — like DartConfig for the KV array.
+// the collector (MR layout) and the switch (FETCH_ADD crafting) — like
+// DartConfig for the KV array.
 struct SketchBackendConfig {
   std::uint32_t rows = 4;       // d — one FETCH_ADD per row per report
   std::uint64_t cols = 2048;    // w — cells per row
@@ -77,21 +75,10 @@ struct SketchBackendConfig {
     return rows >= 1 && rows <= 32 && cols >= 1 && topk_capacity >= 1;
   }
 
-  // Row r's hash seed — the exact derivation CountMinSketch uses, so wire
-  // and reference paths agree cell-for-cell.
-  [[nodiscard]] std::uint64_t row_seed(std::uint32_t r) const noexcept {
-    SplitMix64 sm(seed);
-    std::uint64_t s = sm.next();
-    for (std::uint32_t i = 0; i < r; ++i) s = sm.next();
-    return s;
-  }
-
-  // Flat cell index (row-major: r*cols + col) row r of `key` maps to. The
-  // remote vaddr of a report's FETCH_ADD is dst.slot_vaddr(cell_of(...)).
-  [[nodiscard]] std::uint64_t cell_of(std::span<const std::byte> key,
-                                      std::uint32_t r) const noexcept {
-    return static_cast<std::uint64_t>(r) * cols +
-           xxhash64(key, row_seed(r)) % cols;
+  // The count-min cell addressing: built once per backend or switch, since
+  // it derives every row seed.
+  [[nodiscard]] CellGeometry geometry() const {
+    return CellGeometry::count_min(rows, cols, seed);
   }
 };
 
@@ -220,10 +207,10 @@ class SketchBackend final : public StoreBackend {
     return config_.memory_bytes();
   }
   [[nodiscard]] std::span<std::byte> memory() noexcept override {
-    return backing_.memory();
+    return cells_.memory();
   }
   [[nodiscard]] std::span<const std::byte> memory() const noexcept override {
-    return backing_.memory();
+    return cells_.memory();
   }
 
   void apply_report(std::span<const std::byte> key,
@@ -234,21 +221,18 @@ class SketchBackend final : public StoreBackend {
                                     ReturnPolicy policy) const override;
   void clear() override;
 
-  // --- cell addressing (shared with switch crafting) -----------------------
-  [[nodiscard]] std::uint64_t cell_of(std::span<const std::byte> key,
-                                      std::uint32_t row) const noexcept {
-    return static_cast<std::uint64_t>(row) * config_.cols +
-           xxhash64(key, row_seeds_[row]) % config_.cols;
+  // --- the cells (CellSheet: addressing, atomic adds, estimates) -----------
+  [[nodiscard]] const CellGeometry& geometry() const noexcept {
+    return cells_.geometry();
   }
-
-  // --- local apply / read of the cells -------------------------------------
-  // Local FETCH_ADD reference: one atomic add per row. Atomic (like the
-  // RNIC, which serializes atomics against target memory) so concurrent
-  // local feeders cannot lose updates.
-  void add(std::span<const std::byte> key, std::uint64_t delta);
+  // Local FETCH_ADD reference: one atomic add per row.
+  void add(std::span<const std::byte> key, std::uint64_t delta) {
+    (void)cells_.fetch_add(key, delta);
+  }
   [[nodiscard]] std::uint64_t estimate(
-      std::span<const std::byte> key) const noexcept;
-  [[nodiscard]] std::uint64_t cell_value(std::uint64_t index) const noexcept;
+      std::span<const std::byte> key) const noexcept {
+    return cells_.estimate(key);
+  }
 
   // --- read-side heavy-hitter / top-k tracker ------------------------------
   //
@@ -280,8 +264,7 @@ class SketchBackend final : public StoreBackend {
 
  private:
   SketchBackendConfig config_;
-  std::vector<std::uint64_t> row_seeds_;  // cached config_.row_seed(r)
-  RegionBacking backing_;
+  CellSheet cells_;
   std::vector<std::vector<std::byte>> candidates_;
   std::uint64_t offers_ = 0;
   std::uint64_t offers_evicted_ = 0;

@@ -9,6 +9,7 @@ namespace dart::switchsim {
 
 DartSwitchPipeline::DartSwitchPipeline(const Config& config)
     : config_(config),
+      sketch_geometry_(config.sketch.geometry()),
       hash_engine_(config.dart.n_addresses, config.dart.master_seed),
       rng_(config.rng_seed),
       psn_regs_(config.max_collectors, 0),
@@ -181,10 +182,10 @@ void DartSwitchPipeline::emit_telemetry(
     // Sketch fan-out: one FETCH_ADD of 1 per sketch row, each consuming its
     // own PSN — a telemetry event on a sketch-backed collector is `rows`
     // wire ops, the aggregation itself happening in the collector's RNIC.
-    for (std::uint32_t row = 0; row < config_.sketch.rows; ++row) {
+    for (std::uint32_t row = 0; row < sketch_geometry_.rows(); ++row) {
       auto& frame = frames.emplace_back(tpls.fetch_add.frame_size());
       const std::size_t len = crafter_.craft_sketch_increment_into(
-          tpls.fetch_add, config_.sketch, key, row, /*delta=*/1,
+          tpls.fetch_add, sketch_geometry_, key, row, /*delta=*/1,
           next_psn(collector_id), frame);
       (void)len;
       assert(len == frame.size());

@@ -300,6 +300,8 @@ class DartSwitchPipeline {
   }
 
   Config config_;
+  // config_.sketch's count-min addressing, with its row seeds derived once.
+  core::CellGeometry sketch_geometry_;
   HashEngine hash_engine_;
   // Selection-policy seam: allocated only under CollectorSelection::kRing
   // (kModulo keeps the legacy hash % table_.size() datapath byte-for-byte).

@@ -1,13 +1,12 @@
-// Tests for the §7 atomic extensions: CAS-insert store, flow counters,
-// count-min sketch.
-#include "core/atomics_store.hpp"
+// Tests for §7's CAS-insert store (bench/cas_insert_store.hpp), the
+// write + Compare & Swap insertion behind bench/ablation_cas.
+#include "cas_insert_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <barrier>
 #include <cstring>
-#include <stdexcept>
 #include <thread>
 
 #include "core/oracle.hpp"
@@ -181,162 +180,6 @@ TEST(CasInsertStore, ImprovesQueryabilityOverPlainWritesAtHighLoad) {
   }
   EXPECT_GT(cas_oracle.counts().success_rate(),
             plain_oracle.counts().success_rate());
-}
-
-TEST(FlowCounterArray, FetchAddSemantics) {
-  FlowCounterArray counters(1024, 1);
-  const auto key = sim_key(5);
-  EXPECT_EQ(counters.fetch_add(key, 3), 0u);  // returns prior
-  EXPECT_EQ(counters.fetch_add(key, 4), 3u);
-  EXPECT_EQ(counters.read(key), 7u);
-}
-
-TEST(FlowCounterArray, DistinctKeysUsuallyDistinctCells) {
-  FlowCounterArray counters(1 << 16, 2);
-  (void)counters.fetch_add(sim_key(1), 1);
-  (void)counters.fetch_add(sim_key(2), 10);
-  // With 64K cells the two keys almost surely differ (seed-pinned).
-  ASSERT_NE(counters.index_of(sim_key(1)), counters.index_of(sim_key(2)));
-  EXPECT_EQ(counters.read(sim_key(1)), 1u);
-  EXPECT_EQ(counters.read(sim_key(2)), 10u);
-}
-
-TEST(CountMinSketch, NeverUndercounts) {
-  CountMinSketch sketch(4, 1024, 3);
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    sketch.add(sim_key(i), i % 7 + 1);
-  }
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    EXPECT_GE(sketch.estimate(sim_key(i)), i % 7 + 1) << i;
-  }
-}
-
-TEST(CountMinSketch, ExactWhenSparse) {
-  CountMinSketch sketch(4, 1 << 14, 3);
-  sketch.add(sim_key(1), 100);
-  sketch.add(sim_key(2), 50);
-  EXPECT_EQ(sketch.estimate(sim_key(1)), 100u);
-  EXPECT_EQ(sketch.estimate(sim_key(2)), 50u);
-  EXPECT_EQ(sketch.estimate(sim_key(3)), 0u);
-}
-
-TEST(CountMinSketch, CellIndicesMatchAdd) {
-  CountMinSketch sketch(3, 256, 5);
-  const auto idx = sketch.cell_indices(sim_key(42));
-  ASSERT_EQ(idx.size(), 3u);
-  sketch.add(sim_key(42), 9);
-  for (std::uint32_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(sketch.cells()[idx[r]], 9u);
-    EXPECT_EQ(idx[r] / 256, r);  // row-major layout
-  }
-}
-
-// Regression for the non-atomic `+=` in fetch_add: N threads each add 1 to
-// ONE shared cell, and each must observe a distinct prior value — the priors
-// form a permutation of 0..n-1 exactly when every RMW was atomic. The plain
-// `+=` both lost increments (final sum short) and duplicated priors.
-TEST(FlowCounterArrayHammer, ConcurrentFetchAddOneCellIsLossless) {
-  constexpr std::uint32_t kThreads = 8;
-  constexpr std::uint64_t kAddsPerThread = 4096;
-  FlowCounterArray counters(64, 9);
-  const auto key = sim_key(3);
-
-  std::vector<std::vector<std::uint64_t>> priors(kThreads);
-  std::barrier gate(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      priors[t].reserve(kAddsPerThread);
-      gate.arrive_and_wait();
-      for (std::uint64_t i = 0; i < kAddsPerThread; ++i) {
-        priors[t].push_back(counters.fetch_add(key, 1));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const std::uint64_t total = kThreads * kAddsPerThread;
-  EXPECT_EQ(counters.read(key), total);  // no lost increments
-  std::vector<std::uint64_t> all;
-  all.reserve(total);
-  for (const auto& p : priors) all.insert(all.end(), p.begin(), p.end());
-  std::sort(all.begin(), all.end());
-  for (std::uint64_t i = 0; i < total; ++i) {
-    ASSERT_EQ(all[i], i);  // priors are a permutation of 0..total-1
-  }
-}
-
-// Same property for the sketch: concurrent adds over many keys conserve the
-// per-row sum (every row absorbs every delta exactly once).
-TEST(CountMinSketchHammer, ConcurrentAddsConserveRowSums) {
-  constexpr std::uint32_t kThreads = 8;
-  constexpr std::uint64_t kAddsPerThread = 2048;
-  constexpr std::uint32_t kRows = 4;
-  constexpr std::uint64_t kCols = 128;
-  CountMinSketch sketch(kRows, kCols, 11);
-
-  std::barrier gate(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      gate.arrive_and_wait();
-      for (std::uint64_t i = 0; i < kAddsPerThread; ++i) {
-        // Distinct key streams per thread; delta in 1..4.
-        sketch.add(sim_key(t * kAddsPerThread + i), i % 4 + 1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  std::uint64_t expected_per_row = 0;
-  for (std::uint64_t i = 0; i < kAddsPerThread; ++i) {
-    expected_per_row += (i % 4 + 1) * kThreads;
-  }
-  for (std::uint32_t r = 0; r < kRows; ++r) {
-    std::uint64_t row_sum = 0;
-    for (std::uint64_t c = 0; c < kCols; ++c) {
-      row_sum += sketch.cells()[r * kCols + c];
-    }
-    EXPECT_EQ(row_sum, expected_per_row) << "row " << r;
-  }
-}
-
-// The geometry guard must fail loudly in NDEBUG builds too: a mismatched
-// merge walks out of bounds if allowed to proceed, so assert-only checking
-// (compiled out of release) was a real out-of-bounds write in release.
-TEST(CountMinSketch, MergeGeometryMismatchThrows) {
-  CountMinSketch base(4, 512, 7);
-  CountMinSketch fewer_rows(3, 512, 7);
-  CountMinSketch fewer_cols(4, 256, 7);
-  EXPECT_THROW(base.merge(fewer_rows), std::invalid_argument);
-  EXPECT_THROW(base.merge(fewer_cols), std::invalid_argument);
-  // The failed merges must not have touched the target.
-  for (std::uint64_t cell : base.cells()) EXPECT_EQ(cell, 0u);
-  // Same geometry, different seed, is still a valid merge (the seeds only
-  // matter for estimate consistency, which callers own).
-  CountMinSketch same_geometry(4, 512, 9);
-  EXPECT_NO_THROW(base.merge(same_geometry));
-}
-
-TEST(CountMinSketch, MergeEqualsCombinedStream) {
-  // Network-wide aggregation (§7): the sum of two switches' sketches equals
-  // one sketch fed both streams — what collector-side FETCH_ADD achieves.
-  CountMinSketch sw1(4, 512, 7), sw2(4, 512, 7), combined(4, 512, 7);
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    const auto key = sim_key(i % 50);
-    if (i % 2 == 0) {
-      sw1.add(key, 1);
-    } else {
-      sw2.add(key, 1);
-    }
-    combined.add(key, 1);
-  }
-  sw1.merge(sw2);
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(sw1.estimate(sim_key(i)), combined.estimate(sim_key(i)));
-  }
 }
 
 }  // namespace

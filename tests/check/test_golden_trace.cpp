@@ -226,7 +226,7 @@ TEST(GoldenTrace, KeyIncrementReportsReplayAggregates) {
   }
   EXPECT_EQ(collector.ingest_counters().fetch_adds.load(), 3u);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    EXPECT_EQ(collector.counters().read(core::sim_key(k)), 0x10101ull * k)
+    EXPECT_EQ(collector.counters().estimate(core::sim_key(k)), 0x10101ull * k)
         << "key " << k;
   }
 }
@@ -262,9 +262,9 @@ TEST(GoldenTrace, SketchIncrementReportsReplayEstimatesEveryKey) {
   std::uint32_t psn = 0;
   for (std::uint64_t k = 1; k <= 3; ++k) {
     for (std::uint32_t row = 0; row < sketch.rows; ++row, ++psn) {
-      ASSERT_EQ(crafter.craft_sketch_increment_into(tpl, sketch,
-                                                    core::sim_key(k), row,
-                                                    0x10101ull * k, psn, frame),
+      ASSERT_EQ(crafter.craft_sketch_increment_into(
+                    tpl, collector.sketch().geometry(), core::sim_key(k), row,
+                    0x10101ull * k, psn, frame),
                 frame.size());
       EXPECT_EQ(frame, it->second.artifacts[psn])
           << "key " << k << " row " << row;

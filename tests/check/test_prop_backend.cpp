@@ -3,8 +3,9 @@
 // 1. sketch_wire_query_diff — random op streams through the REAL wire path
 //    (crafted FETCH_ADD frames, template fast path and allocating path
 //    mixed, with random per-frame loss) into a sketch-backed collector's
-//    RNIC, diffed cell-for-cell against a reference tally built from
-//    SketchBackendConfig's addressing; then the query protocol's sketch ops
+//    RNIC, diffed cell-for-cell against a reference tally built from the
+//    reference addressing (reference_sketch_cell); then the query protocol's
+//    sketch ops
 //    (estimate + top-k) are exercised end-to-end over netsim and checked
 //    against the same reference, including tie-robust top-k inclusion.
 //
@@ -82,11 +83,14 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
   const auto tpl =
       crafter.make_atomic_template(info, reporter(), rdma::Opcode::kRcFetchAdd);
 
-  // Reference tally: one u64 per cell, updated with the backend's own
-  // addressing for exactly the frames that were DELIVERED. Memory layout is
-  // identical to the MR (host-endian u64 cells, row-major), so the diff at
-  // the end is a byte compare.
+  // Reference tally: one u64 per cell, updated at the reference cell for
+  // exactly the frames that were DELIVERED. Memory layout is identical to
+  // the MR (host-endian u64 cells, row-major), so the diff at the end is a
+  // byte compare.
   std::vector<std::uint64_t> ref_cells(cfg.n_cells(), 0);
+  const auto ref_cell = [&](std::span<const std::byte> key, std::uint32_t r) {
+    return reference_sketch_cell(key, cfg.seed, r, cfg.cols);
+  };
 
   const auto n_ops = 1 + rng.below(40);
   std::uint32_t psn = 0;
@@ -100,7 +104,8 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
       if (rng.chance(0.5)) {
         frame.resize(tpl.frame_size());
         const auto len = crafter.craft_sketch_increment_into(
-            tpl, cfg, key, row, delta, this_psn, frame);
+            tpl, collector.sketch().geometry(), key, row, delta, this_psn,
+            frame);
         if (len != frame.size()) {
           return Failure{"template crafting returned short frame", {}};
         }
@@ -111,7 +116,7 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
       if (!collector.rnic().process_frame(frame).has_value()) {
         return Failure{"RNIC rejected a crafted sketch FETCH_ADD", frame};
       }
-      ref_cells[cfg.cell_of(key, row)] += delta;
+      ref_cells[ref_cell(key, row)] += delta;
     }
   }
 
@@ -129,7 +134,7 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
     std::uint64_t best = UINT64_MAX;
     const auto key = key_of(id);
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      best = std::min(best, ref_cells[cfg.cell_of(key, r)]);
+      best = std::min(best, ref_cells[ref_cell(key, r)]);
     }
     return best == UINT64_MAX ? 0 : best;
   };

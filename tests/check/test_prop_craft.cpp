@@ -309,7 +309,8 @@ std::optional<Failure> craft_matches_reference(Rng& rng) {
     if (auto f = expect_same("craft_sketch_increment_into", tpl,
                              [&](std::span<std::byte> out) {
                                return crafter.craft_sketch_increment_into(
-                                   tpl, sketch, key, r, delta, psn, out);
+                                   tpl, sketch.geometry(), key, r, delta, psn,
+                                   out);
                              },
                              oracle.craft_sketch_increment(row, src, sketch,
                                                            key, r, delta,

@@ -15,7 +15,7 @@
 #include "check/golden.hpp"
 #include "check/property.hpp"
 #include "check/reference.hpp"
-#include "core/atomics_store.hpp"
+#include "check/reference_crafter.hpp"
 #include "core/oracle.hpp"
 #include "core/query_protocol.hpp"
 
@@ -221,14 +221,18 @@ TEST(PropPrimitives, AppendDrainsBalanceAcrossWrap) {
 
 // Key-Increment merge equivalence: many "switches" (independent PSN
 // spaces don't matter — FETCH_ADD is order-free) adding into one collector
-// array equals the §7 reference sketch fed the combined stream, cell for
-// cell and key for key.
+// array equals a reference tally of the combined stream at the reference
+// cells, cell for cell and key for key.
 std::optional<Failure> key_increment_merge_property(Rng& rng) {
   const auto kv = tiny_kv_config();
   const auto prim = gen_small_primitives(rng);
   WireDriver real(kv);
   real.enable_primitives(prim);
-  core::FlowCounterArray sketch(prim.counters.n_counters, prim.counters.seed);
+  const auto ref_cell = [&](std::uint64_t key) {
+    return reference_counter_cell(core::sim_key(key), prim.counters.seed,
+                                  prim.counters.n_counters);
+  };
+  std::vector<std::uint64_t> tally(prim.counters.n_counters, 0);
 
   const auto n_ops = 1 + rng.below(24);
   for (std::uint64_t i = 0; i < n_ops; ++i) {
@@ -236,23 +240,20 @@ std::optional<Failure> key_increment_merge_property(Rng& rng) {
     op.kind = ReportOp::Kind::kKeyIncrement;
     if (op.operand == 0) op.operand = 1 + rng.below(1u << 16);
     (void)real.submit(op);
-    if (!op.dropped) {
-      (void)sketch.fetch_add(core::sim_key(op.key), op.operand);
-    }
+    if (!op.dropped) tally[ref_cell(op.key)] += op.operand;
   }
 
   auto& cells = real.collector().counters();
   for (std::uint64_t c = 0; c < prim.counters.n_counters; ++c) {
-    if (cells.read_cell(c) != sketch.cells()[c]) {
+    if (cells.read_cell(c) != tally[c]) {
       return Failure{"cell " + std::to_string(c) + " diverged: wire " +
-                         std::to_string(cells.read_cell(c)) + " sketch " +
-                         std::to_string(sketch.cells()[c]),
+                         std::to_string(cells.read_cell(c)) + " reference " +
+                         std::to_string(tally[c]),
                      {}};
     }
   }
   for (std::uint64_t k = 0; k < 32; ++k) {
-    const auto key = core::sim_key(k);
-    if (cells.read(key) != sketch.read(key)) {
+    if (cells.estimate(core::sim_key(k)) != tally[ref_cell(k)]) {
       return Failure{"key " + std::to_string(k) + " reads diverged", {}};
     }
   }

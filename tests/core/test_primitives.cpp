@@ -11,7 +11,6 @@
 #include <string>
 
 #include "check/reference_crafter.hpp"
-#include "core/atomics_store.hpp"
 #include "core/collector.hpp"
 #include "core/oracle.hpp"
 #include "core/query_service.hpp"
@@ -114,36 +113,38 @@ TEST(AppendRing, EncodeEntryIsSeqLePlusValue) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterCellArray / PostcardStore — local models
+// Counter cells (the Key-Increment array) / PostcardStore — local models
 // ---------------------------------------------------------------------------
 
 TEST(CounterCellArray, FetchAddMirrorsRdmaSemantics) {
   CounterArrayConfig cfg;
   cfg.n_counters = 16;
   cfg.seed = 5;
-  CounterCellArray cells(cfg);
+  CellSheet cells(cfg.geometry());
   const auto key = sim_key(3);
   EXPECT_EQ(cells.fetch_add(key, 7), 0u);  // returns the prior value
   EXPECT_EQ(cells.fetch_add(key, 2), 7u);
-  EXPECT_EQ(cells.read(key), 9u);
+  EXPECT_EQ(cells.estimate(key), 9u);
   EXPECT_EQ(cells.read_cell(cfg.index_of(key)), 9u);
 }
 
-TEST(CounterCellArray, AgreesWithFlowCounterArrayCellForCell) {
-  // Same hash formula as the §7 sketch reference — the wire path and the
-  // sketch must address the same cells.
+TEST(CounterCellArray, AgreesWithReferenceCellForCell) {
+  // The config's addressing (what the switch crafts with) and the sheet's
+  // adds land on the reference cell of every key.
   CounterArrayConfig cfg;
   cfg.n_counters = 64;
   cfg.seed = 11;
-  CounterCellArray cells(cfg);
-  FlowCounterArray sketch(cfg.n_counters, cfg.seed);
+  CellSheet cells(cfg.geometry());
+  std::vector<std::uint64_t> tally(cfg.n_counters, 0);
   for (std::uint64_t k = 0; k < 200; ++k) {
-    EXPECT_EQ(cfg.index_of(sim_key(k)), sketch.index_of(sim_key(k))) << k;
+    const std::uint64_t want =
+        check::reference_counter_cell(sim_key(k), cfg.seed, cfg.n_counters);
+    EXPECT_EQ(cfg.index_of(sim_key(k)), want) << k;
     (void)cells.fetch_add(sim_key(k), k + 1);
-    (void)sketch.fetch_add(sim_key(k), k + 1);
+    tally[want] += k + 1;
   }
   for (std::uint64_t c = 0; c < cfg.n_counters; ++c) {
-    EXPECT_EQ(cells.read_cell(c), sketch.cells()[c]) << c;
+    EXPECT_EQ(cells.read_cell(c), tally[c]) << c;
   }
 }
 
@@ -277,8 +278,8 @@ TEST_F(PrimitiveWireFixture, KeyIncrementFramesAggregateInCells) {
   }
   EXPECT_EQ(collector_->ingest_counters().fetch_adds.load(), 6u);
   // Key 0 got psn 0,2,4 → 10+12+14; key 1 got 11+13+15.
-  EXPECT_EQ(collector_->counters().read(sim_key(0)), 36u);
-  EXPECT_EQ(collector_->counters().read(sim_key(1)), 39u);
+  EXPECT_EQ(collector_->counters().estimate(sim_key(0)), 36u);
+  EXPECT_EQ(collector_->counters().estimate(sim_key(1)), 39u);
 }
 
 TEST_F(PrimitiveWireFixture, PostcardFramesAssembleTheFlowPath) {

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <vector>
 
-#include "core/atomics_store.hpp"
+#include "check/reference_crafter.hpp"
 #include "core/collector.hpp"
 #include "core/oracle.hpp"
 #include "core/report_crafter.hpp"
@@ -113,21 +113,21 @@ TEST(StoreBackendConformance, CollectorRemoteInfoCarriesBackendGeometry) {
 
 // --- cell addressing ---------------------------------------------------------
 
-// SketchBackendConfig's addressing must be the exact CountMinSketch
-// derivation: same SplitMix64 row-seed walk, same column hash, same
-// row-major flattening. This is what lets a local reference sketch stand in
-// for the wire path cell-for-cell.
-TEST(StoreBackendConformance, SketchAddressingMatchesCountMinSketch) {
+// The backend's addressing (what the switch crafts with) is the reference
+// count-min derivation: the SplitMix64 row-seed walk, the xxhash64 column
+// hash and the row-major flattening. This is what lets a local reference
+// tally stand in for the wire path cell-for-cell.
+TEST(StoreBackendConformance, SketchAddressingMatchesReference) {
   const SketchBackendConfig cfg = sketch_config();
-  CountMinSketch reference(cfg.rows, cfg.cols, cfg.seed);
   SketchBackend backend(cfg);
+  ASSERT_EQ(backend.geometry().rows(), cfg.rows);
+  ASSERT_EQ(backend.geometry().cols(), cfg.cols);
   for (std::uint64_t i = 0; i < 64; ++i) {
     const auto key = sim_key(i);
-    const auto expected = reference.cell_indices(key);
-    ASSERT_EQ(expected.size(), cfg.rows);
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      EXPECT_EQ(cfg.cell_of(key, r), expected[r]) << "key " << i << " row " << r;
-      EXPECT_EQ(backend.cell_of(key, r), expected[r]);
+      EXPECT_EQ(backend.geometry().cell_of(key, r),
+                check::reference_sketch_cell(key, cfg.seed, r, cfg.cols))
+          << "key " << i << " row " << r;
     }
   }
 }
@@ -176,8 +176,8 @@ TEST(StoreBackendConformance, SketchWirePathMatchesLocalApply) {
     const auto key = sim_key(i % 40);
     // One report = one FETCH_ADD of 1 per row.
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      ASSERT_EQ(crafter.craft_sketch_increment_into(tpl, cfg, key, r, 1,
-                                                    psn++, frame),
+      ASSERT_EQ(crafter.craft_sketch_increment_into(tpl, twin.geometry(), key,
+                                                    r, 1, psn++, frame),
                 frame.size());
       ASSERT_TRUE(collector.rnic().process_frame(frame).has_value()) << i;
     }

@@ -51,9 +51,9 @@ run_tsan() {
   cmake -B "$dir" -S . -DDART_SANITIZE=thread >/dev/null
   cmake --build "$dir" -j "$(nproc)" \
     --target test_ingest_pipeline test_spsc_ring test_epoch_rotation \
-             test_qp test_prop_pipeline test_atomics_store \
-             test_prop_backend test_result_cache test_gateway \
-             test_collector_ring >/dev/null
+             test_qp test_prop_pipeline test_cell_sheet \
+             test_cas_insert_store test_prop_backend test_result_cache \
+             test_gateway test_collector_ring >/dev/null
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "$dir" --output-on-failure \
       -R 'IngestPipeline|RotatingCollector|ShardRouting|SpscRing|SeqCount|RelaxedCounter|QueuePair|PropPipeline|CasInsertStore|FlowCounterArrayHammer|CountMinSketchHammer|DisciplinedReadsNeverTorn|ResultCache|GatewayFixture|CollectorRingHammer'
