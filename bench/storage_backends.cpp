@@ -211,6 +211,19 @@ LfResult run_load_factor(double lf, std::uint64_t flows,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The sketch geometry holds 1..kMaxRows rows; any other --rows is refused
+  // here, before a backend is sized by dividing the budget by it.
+  const double rows_flag = bench::flag_double(argc, argv, "rows", 4);
+  if (!(rows_flag >= 1 && rows_flag <= CellGeometry::kMaxRows)) {
+    std::fprintf(stderr,
+                 "usage: storage_backends [--flows=N] [--updates=N] "
+                 "[--rows=1..%u] [--zipf=S] [--seed=N]\n"
+                 "storage_backends: --rows=%g is outside 1..%u\n",
+                 CellGeometry::kMaxRows, rows_flag, CellGeometry::kMaxRows);
+    return 2;
+  }
+  const auto rows = static_cast<std::uint32_t>(rows_flag);
+
   bench::banner(
       "Storage backends — accuracy vs memory at matched byte budgets",
       "sketch-backed compact storage trades exactness for graceful accuracy "
@@ -218,8 +231,6 @@ int main(int argc, char** argv) {
 
   const auto flows = bench::flag_u64(argc, argv, "flows", 3000);
   const auto updates = bench::flag_u64(argc, argv, "updates", 300000);
-  const auto rows = static_cast<std::uint32_t>(
-      bench::flag_u64(argc, argv, "rows", 4));
   const double zipf_s = bench::flag_double(argc, argv, "zipf", 1.05);
   const auto seed = bench::flag_u64(argc, argv, "seed", 0xBE9C'0008);
   const std::vector<double> lfs{0.5, 1.5, 3.0};
