@@ -15,6 +15,11 @@
 # So the allowlist can only shrink. src/check/ holds the reference twins
 # that only tests use and is not gated.
 #
+# It also prints thin reach: each production header that exactly one
+# program reaches, with its .hpp+.cpp line count and that program. Every
+# .cpp under examples/ and tools/ is a program; the perfbench/src sources
+# together are one. Thin reach is reported, not gated.
+#
 # Usage: tools/check_reachability.sh
 set -euo pipefail
 
@@ -52,27 +57,38 @@ def resolve(including, name):
     return None
 
 
-start = [
-    p
-    for d in ("examples", "tools", "perfbench/src")
-    for p in sorted(Path(d).rglob("*"))
-    if p.suffix in (".cpp", ".hpp")
-]
-reached = set()
-todo = list(start)
-while todo:
-    path = todo.pop()
-    if path in reached:
-        continue
-    reached.add(path)
-    if path.parts[0] == "src" and path.suffix == ".hpp":
-        beside = path.with_suffix(".cpp")
-        if beside.is_file():
-            todo.append(beside)
-    for name in include_re.findall(path.read_text()):
-        target = resolve(path, name)
-        if target is not None:
-            todo.append(target)
+def walk(sources):
+    reached = set()
+    todo = list(sources)
+    while todo:
+        path = todo.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        if path.parts[0] == "src" and path.suffix == ".hpp":
+            beside = path.with_suffix(".cpp")
+            if beside.is_file():
+                todo.append(beside)
+        for name in include_re.findall(path.read_text()):
+            target = resolve(path, name)
+            if target is not None:
+                todo.append(target)
+    return reached
+
+
+def sources(d):
+    return [p for p in sorted(Path(d).rglob("*")) if p.suffix in (".cpp", ".hpp")]
+
+
+# Program name -> its root sources.
+programs = {"perfbench/src": sources("perfbench/src")}
+for d in ("examples", "tools"):
+    for p in sources(d):
+        if p.suffix == ".cpp":
+            programs[str(p.with_suffix(""))] = [p]
+start = [p for d in ("examples", "tools", "perfbench/src") for p in sources(d)]
+reached = walk(start)
+reached_by = {name: walk(roots) for name, roots in programs.items()}
 
 failures = 0
 
@@ -95,6 +111,22 @@ for header in headers:
              "source: move it beside its bench, into src/check/, or delete it")
 for header in sorted(ALLOWLIST - set(headers)):
     fail(f"{header} is allowlisted but gone: drop it from the allowlist")
+
+
+def lines(header):
+    pair = [Path(header), Path(header).with_suffix(".cpp")]
+    return sum(len(p.read_text().splitlines()) for p in pair if p.is_file())
+
+
+thin = []
+for header in headers:
+    owners = [name for name, seen in reached_by.items() if Path(header) in seen]
+    if len(owners) == 1:
+        thin.append((owners[0], header, lines(header)))
+for owner, header, n in sorted(thin):
+    print(f"thin reach: {header} ({n} lines) only via {owner}")
+print(f"thin reach: {len(thin)} headers, {sum(n for _, _, n in thin)} lines, "
+      "each reached by one program")
 
 print(f"walked {len(reached)} files from {len(start)} sources; "
       f"{len(headers)} production headers, {len(ALLOWLIST)} allowlisted")
