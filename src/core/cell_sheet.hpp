@@ -1,24 +1,17 @@
-// Cell sheets — the one shape of every FETCH_ADD counter region.
+// Cell sheets — the one shape of every FETCH_ADD counter region (§7).
 //
-// DART §7 aims RDMA FETCH_ADD at collector memory for flow counters and for
-// network-wide sketch aggregation. Both are rows of host-endian 64-bit
+// Flow counters and count-min sketches are rows of host-endian 64-bit
 // cells, where row r of a key owns cell r·cols + xxhash64(key, seed_r) mod
-// cols: DTA's Key-Increment array (primitives.hpp) is one row, the count-min
-// sketch behind SketchBackend (store_backend.hpp) is `rows` of them. Many
-// switches add into one sheet, so the sheet is the network-wide aggregate
-// with no merge step.
-//
-// CellGeometry is the addressing a switch crafts its FETCH_ADDs with, and
-// the only place the cell formula and the row-seed rule are written.
-// CellSheet is a geometry over a region (RegionBacking, store.hpp): the
-// collector's registered MR, or self-owned bytes in simulations. The tests
-// diff both against the independent reference addressing in
-// src/check/reference_crafter.hpp.
+// cols. DTA's Key-Increment array (primitives.hpp) is one row; the sketch
+// behind SketchBackend (store_backend.hpp) is `rows` of them. Many switches
+// FETCH_ADD into one sheet, so it is the network-wide aggregate with no
+// merge step. CellGeometry is the addressing switches craft with and the
+// only place the cell formula and the row-seed rule are written; CellSheet
+// is a geometry over a RegionBacking (store.hpp). The tests diff both
+// against the reference addressing in src/check/reference_crafter.hpp.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <span>
 
@@ -48,12 +41,9 @@ class CellGeometry {
   [[nodiscard]] std::uint64_t n_cells() const noexcept {
     return static_cast<std::uint64_t>(rows_) * cols_;
   }
-  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
-    return n_cells() * 8;
-  }
 
-  // Flat (row-major) index of the cell row `r` of `key` owns. The remote
-  // vaddr of its FETCH_ADD is dst.slot_vaddr(cell_of(key, r)).
+  // Row-major index of the cell row `r` of `key` owns; its FETCH_ADD goes
+  // to dst.slot_vaddr(cell_of(key, r)).
   [[nodiscard]] std::uint64_t cell_of(std::span<const std::byte> key,
                                       std::uint32_t r) const noexcept {
     return static_cast<std::uint64_t>(r) * cols_ +
@@ -61,8 +51,8 @@ class CellGeometry {
   }
 
  private:
-  // Refuses rows outside 1..kMaxRows and cols == 0 with
-  // std::invalid_argument, in every build mode: the seed array is fixed.
+  // Rows outside 1..kMaxRows or cols == 0 throw std::invalid_argument in
+  // every build mode: the seed array is fixed.
   CellGeometry(std::uint32_t rows, std::uint64_t cols)
       : rows_(rows), cols_(cols) {
     if (rows < 1 || rows > kMaxRows || cols == 0) refuse(rows, cols);
@@ -76,11 +66,11 @@ class CellGeometry {
 
 class CellSheet {
  public:
-  // Self-owning: geometry.memory_bytes() zeroed bytes.
-  explicit CellSheet(const CellGeometry& geometry);
-  // Over a registered MR: `memory` must be exactly geometry.memory_bytes()
-  // long, 8-byte aligned (std::invalid_argument otherwise), and outlive
-  // the sheet.
+  // Self-owning (zeroed), or over a registered MR that outlives the sheet
+  // and is exactly n_cells() * 8 bytes, 8-byte aligned (else
+  // std::invalid_argument).
+  explicit CellSheet(const CellGeometry& geometry)
+      : geometry_(geometry), backing_(geometry.n_cells() * 8) {}
   CellSheet(const CellGeometry& geometry, std::span<std::byte> memory);
 
   [[nodiscard]] const CellGeometry& geometry() const noexcept {
@@ -93,34 +83,20 @@ class CellSheet {
     return backing_.memory();
   }
 
-  // Local FETCH_ADD of `delta` on every row's cell of `key`; returns row
-  // 0's value before the add (RDMA semantics). Relaxed atomic adds, like
-  // the RNIC, which serializes atomics against target memory, so
-  // concurrent local feeders sum instead of racing.
+  // Local FETCH_ADD on every row's cell of `key`, returning row 0's prior
+  // value (RDMA semantics). The adds are relaxed atomic_refs, as the RNIC
+  // serializes atomics, so concurrent local feeders sum instead of racing.
   std::uint64_t fetch_add(std::span<const std::byte> key,
                           std::uint64_t delta) noexcept;
-
-  // The minimum over the rows of `key`'s cells (the count-min estimate;
-  // for one row, the counter itself). An all-UINT64_MAX minimum reads 0.
+  // Minimum over the rows (the count-min estimate; one row's counter). An
+  // all-UINT64_MAX minimum reads 0.
   [[nodiscard]] std::uint64_t estimate(
       std::span<const std::byte> key) const noexcept;
-
-  [[nodiscard]] std::uint64_t read_cell(std::uint64_t index) const noexcept {
-    assert(index < geometry_.n_cells());
-    return cell(index).load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t read_cell(std::uint64_t index) const noexcept;
 
   void clear() noexcept { backing_.clear(); }
 
  private:
-  // The cells stay a plain byte span an MR registration can cover;
-  // atomicity comes from atomic_ref at each access.
-  [[nodiscard]] std::atomic_ref<std::uint64_t> cell(
-      std::uint64_t index) const noexcept {
-    return std::atomic_ref<std::uint64_t>(*reinterpret_cast<std::uint64_t*>(
-        const_cast<std::byte*>(backing_.memory().data()) + index * 8));
-  }
-
   CellGeometry geometry_;
   RegionBacking backing_;
 };

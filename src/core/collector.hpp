@@ -134,7 +134,6 @@ class Collector {
 
   // Collector-side structures over the regions (enable_primitives first).
   [[nodiscard]] AppendRing& ring() noexcept { return *primitives_->ring; }
-  // The Key-Increment array: a one-row cell sheet over the counter MR.
   [[nodiscard]] CellSheet& counters() noexcept {
     return *primitives_->counters;
   }

@@ -67,11 +67,11 @@ struct CounterArrayConfig {
   [[nodiscard]] constexpr std::uint64_t memory_bytes() const noexcept {
     return n_counters * 8;
   }
-  // One row of n_counters cells, hashed with `seed` as given.
+  // One row of n_counters cells, hashed with `seed` as given; index_of is
+  // the cell owning `key`.
   [[nodiscard]] CellGeometry geometry() const {
     return CellGeometry::flat(n_counters, seed);
   }
-  // Cell owning `key`.
   [[nodiscard]] std::uint64_t index_of(std::span<const std::byte> key) const {
     return geometry().cell_of(key, 0);
   }

@@ -215,9 +215,8 @@ class ReportCrafter {
                                        std::uint64_t delta, std::uint32_t psn,
                                        std::span<std::byte> out) const;
   // Sketch backend (store_backend.hpp): FETCH_ADD of `delta` on row `row`'s
-  // cell of `key` in the backend's count-min geometry; one telemetry report
-  // is one such frame per sketch row. `tpl` must be a kFetchAdd template
-  // built for the sketch-backed row.
+  // cell of `key` in its geometry; one telemetry report is one such frame
+  // per sketch row. `tpl` must be a kFetchAdd template for the sketch row.
   std::size_t craft_sketch_increment_into(const FrameTemplate& tpl,
                                           const CellGeometry& sketch,
                                           std::span<const std::byte> key,

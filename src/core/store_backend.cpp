@@ -23,17 +23,6 @@ QueryResult KvBackend::resolve(std::span<const std::byte> key,
 // SketchBackend
 // ---------------------------------------------------------------------------
 
-SketchBackend::SketchBackend(const SketchBackendConfig& config)
-    : config_(config), cells_(config.geometry()) {
-  assert(config.valid());
-}
-
-SketchBackend::SketchBackend(const SketchBackendConfig& config,
-                             std::span<std::byte> memory)
-    : config_(config), cells_(config.geometry(), memory) {
-  assert(config.valid());
-}
-
 QueryResult SketchBackend::resolve(std::span<const std::byte> key,
                                    ReturnPolicy /*policy*/) const {
   // A sketch has no per-key value to vote over; the resolve contract here is

@@ -72,7 +72,8 @@ struct SketchBackendConfig {
     return n_cells() * 8;  // host-endian u64 cells, the RNIC atomic unit
   }
   [[nodiscard]] constexpr bool valid() const noexcept {
-    return rows >= 1 && rows <= 32 && cols >= 1 && topk_capacity >= 1;
+    return rows >= 1 && rows <= CellGeometry::kMaxRows && cols >= 1 &&
+           topk_capacity >= 1;
   }
 
   // The count-min cell addressing: built once per backend or switch, since
@@ -187,10 +188,12 @@ class KvBackend final : public StoreBackend {
 // Count-min cells in MR memory + a read-side heavy-hitter tracker.
 class SketchBackend final : public StoreBackend {
  public:
-  explicit SketchBackend(const SketchBackendConfig& config);
+  explicit SketchBackend(const SketchBackendConfig& config)
+      : config_(config), cells_(config.geometry()) {}
   // External mode: `memory` must be exactly config.memory_bytes() long and
   // outlive the backend (a registered MR on a collector).
-  SketchBackend(const SketchBackendConfig& config, std::span<std::byte> memory);
+  SketchBackend(const SketchBackendConfig& config, std::span<std::byte> memory)
+      : config_(config), cells_(config.geometry(), memory) {}
 
   [[nodiscard]] const SketchBackendConfig& config() const noexcept {
     return config_;

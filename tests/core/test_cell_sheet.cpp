@@ -70,12 +70,13 @@ TEST(CountMinSketch, CellIndicesMatchAdd) {
 // the atomic adds go through atomic_ref on each cell.
 TEST(CellSheet, RefusesMisfitRegions) {
   const auto geometry = CellGeometry::count_min(2, 8, 1);
+  const std::size_t size = geometry.n_cells() * 8;
   std::vector<std::uint64_t> words(geometry.n_cells() + 1);
   const std::span<std::byte> bytes(reinterpret_cast<std::byte*>(words.data()),
                                    words.size() * 8);
-  EXPECT_NO_THROW(CellSheet(geometry, bytes.first(geometry.memory_bytes())));
+  EXPECT_NO_THROW(CellSheet(geometry, bytes.first(size)));
   EXPECT_THROW(CellSheet(geometry, bytes), std::invalid_argument);
-  EXPECT_THROW(CellSheet(geometry, bytes.subspan(4, geometry.memory_bytes())),
+  EXPECT_THROW(CellSheet(geometry, bytes.subspan(4, size)),
                std::invalid_argument);
 }
 
