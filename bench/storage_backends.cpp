@@ -211,26 +211,30 @@ LfResult run_load_factor(double lf, std::uint64_t flows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The sketch geometry holds 1..kMaxRows rows; any other --rows is refused
-  // here, before a backend is sized by dividing the budget by it.
+  // Refused before any backend is built: the sketch geometry holds
+  // 1..kMaxRows rows and the budget is divided by them, and the accuracy
+  // percentiles and the top-k cut need at least one flow that was updated.
   const double rows_flag = bench::flag_double(argc, argv, "rows", 4);
-  if (!(rows_flag >= 1 && rows_flag <= CellGeometry::kMaxRows)) {
+  const double flows_flag = bench::flag_double(argc, argv, "flows", 3000);
+  const double updates_flag = bench::flag_double(argc, argv, "updates", 300000);
+  if (!(rows_flag >= 1 && rows_flag <= CellGeometry::kMaxRows) ||
+      !(flows_flag >= 1) || !(updates_flag >= 1)) {
     std::fprintf(stderr,
-                 "usage: storage_backends [--flows=N] [--updates=N] "
+                 "usage: storage_backends [--flows=N>=1] [--updates=N>=1] "
                  "[--rows=1..%u] [--zipf=S] [--seed=N]\n"
-                 "storage_backends: --rows=%g is outside 1..%u\n",
-                 CellGeometry::kMaxRows, rows_flag, CellGeometry::kMaxRows);
+                 "storage_backends: got --rows=%g --flows=%g --updates=%g\n",
+                 CellGeometry::kMaxRows, rows_flag, flows_flag, updates_flag);
     return 2;
   }
   const auto rows = static_cast<std::uint32_t>(rows_flag);
+  const auto flows = static_cast<std::uint64_t>(flows_flag);
+  const auto updates = static_cast<std::uint64_t>(updates_flag);
 
   bench::banner(
       "Storage backends — accuracy vs memory at matched byte budgets",
       "sketch-backed compact storage trades exactness for graceful accuracy "
       "decay where the KV store's exact rate collapses with load");
 
-  const auto flows = bench::flag_u64(argc, argv, "flows", 3000);
-  const auto updates = bench::flag_u64(argc, argv, "updates", 300000);
   const double zipf_s = bench::flag_double(argc, argv, "zipf", 1.05);
   const auto seed = bench::flag_u64(argc, argv, "seed", 0xBE9C'0008);
   const std::vector<double> lfs{0.5, 1.5, 3.0};
