@@ -22,7 +22,8 @@ std::uint64_t reference_sketch_cell(std::span<const std::byte> key,
   SplitMix64 sm(seed);
   std::uint64_t row_seed = sm.next();
   for (std::uint32_t i = 0; i < row; ++i) row_seed = sm.next();
-  return static_cast<std::uint64_t>(row) * cols + xxhash64(key, row_seed) % cols;
+  return static_cast<std::uint64_t>(row) * cols +
+         xxhash64(key, row_seed) % cols;
 }
 
 std::vector<std::byte> ReferenceCrafter::craft_write(
