@@ -115,17 +115,21 @@ TEST(PropBurst, BurstCraftIsByteIdenticalToPerOpCraft) {
 //
 // Two identical collectors (same config/id → same rkey, QPN, base vaddr) fed
 // the same frame stream: one frame at a time vs one process_frames burst.
-// The stream mixes valid WRITE/atomic/multiwrite frames with corrupted,
-// truncated, and garbage frames, so the staged burst path must agree with
-// the single-frame path on every verdict counter — not just on the happy
-// path — and on every byte of store memory.
+// Both also adopt a dead peer's takeover QP. The stream mixes valid
+// WRITE/atomic/multiwrite frames — aimed at the report QP, the takeover QP
+// or a QPN neither RNIC opened, so one burst chunk spans several QPs — with
+// corrupted, truncated, and garbage frames, so the staged burst path must
+// agree with the single-frame path on every verdict counter and every QP's
+// counters — not just on the happy path — and on every byte of store
+// memory.
 struct CounterSnapshot {
-  const char* name;
+  std::string name;
   std::uint64_t value;
 };
 
-std::vector<CounterSnapshot> snapshot(const rdma::RnicCounters& c) {
-  return {
+std::vector<CounterSnapshot> snapshot(const rdma::SimulatedRnic& rnic) {
+  const auto& c = rnic.counters();
+  std::vector<CounterSnapshot> out = {
       {"frames", c.frames.load()},
       {"executed", c.executed.load()},
       {"writes", c.writes.load()},
@@ -146,6 +150,27 @@ std::vector<CounterSnapshot> snapshot(const rdma::RnicCounters& c) {
       {"stalled", c.stalled.load()},
       {"qp_error", c.qp_error.load()},
   };
+  rnic.qps().for_each([&out](const rdma::QueuePair& qp) {
+    const std::string q = "qp " + std::to_string(qp.qpn()) + " ";
+    const auto& qc = qp.counters();
+    out.push_back({q + "accepted", qc.accepted.load()});
+    out.push_back({q + "psn_stale", qc.psn_stale.load()});
+    out.push_back({q + "psn_gaps", qc.psn_gaps.load()});
+    out.push_back({q + "error_drops", qc.error_drops.load()});
+  });
+  return out;
+}
+
+// The QP a request frame is aimed at: mostly the report QP, often the
+// adopted takeover QP, sometimes a QPN no RNIC opened.
+constexpr std::uint32_t kDeadPeer = 1;
+constexpr std::uint32_t kUnopenedQpn = 0x00BEEF;
+
+core::RemoteStoreInfo aim(Rng& rng, core::RemoteStoreInfo dst) {
+  const auto pick = rng.below(10);
+  if (pick < 3) dst.qpn = core::Collector::qpn_for(kDeadPeer);
+  if (pick == 3) dst.qpn = kUnopenedQpn;
+  return dst;
 }
 
 std::optional<Failure> burst_ingest_identity(Rng& rng) {
@@ -153,15 +178,16 @@ std::optional<Failure> burst_ingest_identity(Rng& rng) {
   const core::ReportCrafter crafter(cfg);
   core::Collector one_by_one(cfg, /*collector_id=*/0, burst_endpoint());
   core::Collector bursty(cfg, /*collector_id=*/0, burst_endpoint());
-  one_by_one.rnic().set_dta_multiwrite(true);
-  bursty.rnic().set_dta_multiwrite(true);
+  for (core::Collector* c : {&one_by_one, &bursty}) {
+    c->rnic().set_dta_multiwrite(true);
+    if (!c->adopt_takeover_qp(kDeadPeer).ok()) {
+      return Failure{"adopt_takeover_qp failed", {}};
+    }
+  }
   const auto dst = one_by_one.remote_info();
   const auto src = burst_reporter();
 
-  const auto write_tpl = crafter.make_write_template(dst, src);
   const auto multiwrite_tpl = crafter.make_multiwrite_template(dst, src);
-  const auto fetch_add_tpl =
-      crafter.make_atomic_template(dst, src, rdma::Opcode::kRcFetchAdd);
 
   const std::size_t n_frames = 1 + rng.below(80);  // crosses the 32-frame burst
   std::vector<std::vector<std::byte>> frames(n_frames);
@@ -170,6 +196,7 @@ std::optional<Failure> burst_ingest_identity(Rng& rng) {
     const auto key = core::sim_key(gen_key(rng));
     const auto value = gen_value(rng, cfg.value_bytes);
     const auto write_copy = [&] {
+      const auto write_tpl = crafter.make_write_template(aim(rng, dst), src);
       frames[i].resize(write_tpl.frame_size());
       crafter.craft_write_into(
           write_tpl, key, value,
@@ -183,12 +210,15 @@ std::optional<Failure> burst_ingest_identity(Rng& rng) {
         crafter.craft_multiwrite_into(multiwrite_tpl, key, value, psn++,
                                       frames[i]);
         break;
-      case 1:  // atomic FETCH_ADD on a store word
+      case 1: {  // atomic FETCH_ADD on a store word
+        const auto fetch_add_tpl = crafter.make_atomic_template(
+            aim(rng, dst), src, rdma::Opcode::kRcFetchAdd);
         frames[i].resize(fetch_add_tpl.frame_size());
         crafter.craft_fetch_add_into(
             fetch_add_tpl, dst.base_vaddr + rng.below(cfg.n_slots) * 8,
             rng.below(1u << 16), psn++, frames[i]);
         break;
+      }
       case 2: {  // corrupted: one flipped byte in an otherwise valid WRITE
         write_copy();
         auto& f = frames[i];
@@ -226,11 +256,11 @@ std::optional<Failure> burst_ingest_identity(Rng& rng) {
                        std::to_string(single_executed),
                    {}};
   }
-  const auto a = snapshot(one_by_one.ingest_counters());
-  const auto b = snapshot(bursty.ingest_counters());
+  const auto a = snapshot(one_by_one.rnic());
+  const auto b = snapshot(bursty.rnic());
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].value != b[i].value) {
-      return Failure{std::string("counter ") + a[i].name + " diverged: " +
+      return Failure{"counter " + a[i].name + " diverged: " +
                          "per-frame " + std::to_string(a[i].value) +
                          " burst " + std::to_string(b[i].value),
                      {}};
