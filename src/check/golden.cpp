@@ -534,8 +534,7 @@ std::vector<Trace> canonical_corpus() {
     f[kIp + 10] = static_cast<std::byte>(sum >> 8);
     f[kIp + 11] = static_cast<std::byte>(sum & 0xFF);
   };
-  {  // A RoCEv2 datagram with no room for BTH + iCRC.
-    const auto* bth = pristine.data() + net::kUdpFrameHeaderLen;
+  const auto spec_4791 = [&] {
     net::UdpFrameSpec spec;
     spec.src_mac = dep.reporter.mac;
     spec.dst_mac = dst.mac;
@@ -543,10 +542,27 @@ std::vector<Trace> canonical_corpus() {
     spec.dst_ip = dst.ip;
     spec.src_port = dep.reporter.udp_src_port;
     spec.dst_port = net::kRoceV2UdpPort;
+    return spec;
+  };
+  {  // A RoCEv2 datagram with no room for BTH + iCRC.
+    const auto* bth = pristine.data() + net::kUdpFrameHeaderLen;
     add("runt_roce",
         "UDP datagram to 4791 carrying only the report's 12-byte BTH, no "
         "room for the iCRC; counted bad_icrc while the iCRC is checked",
-        net::build_udp_frame(spec, std::span(bth, rdma::kBthLen)));
+        net::build_udp_frame(spec_4791(), std::span(bth, rdma::kBthLen)));
+  }
+  {  // A RoCEv2 datagram carrying only a BTH, under a valid iCRC.
+    auto f = net::build_udp_frame(
+        spec_4791(),
+        std::span(pristine.data() + net::kUdpFrameHeaderLen,
+                  rdma::kBthLen + rdma::kIcrcLen));
+    const bool ok = reference_finalize_frame_icrc(f);
+    (void)ok;  // a BTH plus its iCRC slot always places the iCRC
+    add("bth_only_roce",
+        "UDP datagram to 4791 carrying the report's BTH and a valid iCRC "
+        "but no RETH; the iCRC passes with nothing after the BTH, and the "
+        "request parse refuses it (bad_opcode)",
+        std::move(f));
   }
   {  // IHL 6: four option bytes (NOP) after the IPv4 header.
     auto f = pristine;

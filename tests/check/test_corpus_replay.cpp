@@ -51,6 +51,7 @@ std::uint64_t rejection_count(const rdma::RnicCounters& c,
   if (name == "bad_icrc_write") return c.bad_icrc.load();
   if (name == "truncated_multiwrite") return c.bad_icrc.load();
   if (name == "bad_opcode") return c.bad_opcode.load();
+  if (name == "bth_only_roce") return c.bad_opcode.load();
   if (name == "unknown_qp") return c.unknown_qp.load();
   if (name == "bad_rkey") return c.bad_rkey.load();
   if (name == "oob_write") return c.out_of_bounds.load();
