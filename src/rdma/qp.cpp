@@ -4,10 +4,9 @@
 
 namespace dart::rdma {
 
-bool QueuePair::accept_psn(std::uint32_t psn) noexcept {
+bool QueuePair::admit_psn(std::uint32_t psn) noexcept {
   psn &= kPsnMask;
   if (type_ == QpType::kUc || policy_ == PsnPolicy::kIgnore) {
-    ++counters_.accepted;
     expected_psn_.store((psn + 1) & kPsnMask, std::memory_order_relaxed);
     return true;
   }
@@ -21,7 +20,6 @@ bool QueuePair::accept_psn(std::uint32_t psn) noexcept {
       ++counters_.psn_stale;
       return false;
     }
-    ++counters_.accepted;
     expected_psn_.store((expected + 1) & kPsnMask, std::memory_order_relaxed);
     return true;
   }
@@ -34,8 +32,7 @@ bool QueuePair::accept_psn(std::uint32_t psn) noexcept {
     ++counters_.psn_stale;  // behind us: duplicate or badly delayed
     return false;
   }
-  counters_.psn_gaps += ahead;  // ahead > 0 means `ahead` reports were lost
-  ++counters_.accepted;
+  if (ahead != 0) counters_.psn_gaps += ahead;  // `ahead` reports were lost
   expected_psn_.store((psn + 1) & kPsnMask, std::memory_order_relaxed);
   return true;
 }

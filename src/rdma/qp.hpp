@@ -107,14 +107,23 @@ class QueuePair {
   void count_error_drop() noexcept { ++counters_.error_drops; }
 
   // Validates and advances the PSN window. Returns true if the packet should
-  // be executed.
+  // be executed, and counts it in `accepted`.
   //
   // Thread-safety: under kIgnore (and for UC QPs) this is safe to call from
   // many threads — counters and the (advisory) expected PSN are atomic. The
   // window-tracking policies (kStrict, kTolerateLoss) perform a
   // read-modify-write of the window and assume one caller at a time, which
   // matches their use: per-switch PSN streams terminate on dedicated QPs.
-  [[nodiscard]] bool accept_psn(std::uint32_t psn) noexcept;
+  [[nodiscard]] bool accept_psn(std::uint32_t psn) noexcept {
+    if (!admit_psn(psn)) return false;
+    ++counters_.accepted;
+    return true;
+  }
+
+  // accept_psn without the `accepted` bump. The RNIC tallies a burst
+  // chunk's admissions per QP and adds them with count_accepted once.
+  [[nodiscard]] bool admit_psn(std::uint32_t psn) noexcept;
+  void count_accepted(std::uint64_t n) noexcept { counters_.accepted += n; }
 
  private:
   static constexpr std::uint32_t kPsnMask = 0x00FF'FFFFu;

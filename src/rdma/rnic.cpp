@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "rdma/multiwrite.hpp"
 
@@ -21,6 +22,13 @@ bool SimulatedRnic::consume_stall() noexcept {
   return false;
 }
 
+void SimulatedRnic::flush(const Chunk& c) noexcept {
+  if (c.executed != 0) counters_.executed += c.executed;
+  if (c.writes != 0) counters_.writes += c.writes;
+  if (c.fetch_adds != 0) counters_.fetch_adds += c.fetch_adds;
+  if (c.accepted != 0) c.accepted_qp->count_accepted(c.accepted);
+}
+
 std::optional<Completion> SimulatedRnic::process_frame(
     std::span<const std::byte> frame) {
   ++counters_.frames;
@@ -28,12 +36,15 @@ std::optional<Completion> SimulatedRnic::process_frame(
     ++counters_.stalled;
     return std::nullopt;
   }
-  LookupCache lc;
-  return dispatch_classified(classify_wire_frame(frame, validate_icrc_), lc);
+  Chunk chunk;
+  auto completion =
+      dispatch_classified(classify_wire_frame(frame, validate_icrc_), chunk);
+  flush(chunk);
+  return completion;
 }
 
 std::optional<Completion> SimulatedRnic::dispatch_classified(
-    const WireClass& cls, LookupCache& lc) {
+    const WireClass& cls, Chunk& c) {
   using V = WireClass::Verdict;
   switch (cls.verdict) {
     case V::kNotUdp:
@@ -41,7 +52,7 @@ std::optional<Completion> SimulatedRnic::dispatch_classified(
       return std::nullopt;
     case V::kOtherPort:
       if (dta_enabled_ && cls.udp_dst_port == kDtaUdpPort) {
-        return execute_multiwrite(cls.udp_payload);
+        return execute_multiwrite(cls.udp_payload, c);
       }
       ++counters_.not_roce;
       return std::nullopt;
@@ -52,14 +63,14 @@ std::optional<Completion> SimulatedRnic::dispatch_classified(
       ++counters_.bad_opcode;
       return std::nullopt;
     case V::kOk:
-      return admit_and_execute(cls.req, lc);
+      return admit_and_execute(cls.req, c);
   }
   return std::nullopt;  // unreachable
 }
 
 std::optional<Completion> SimulatedRnic::admit_and_execute(
-    const RoceRequest& req, LookupCache& lc) {
-  QueuePair* qp = find_qp(req.bth.dest_qp, lc);
+    const RoceRequest& req, Chunk& c) {
+  QueuePair* qp = find_qp(req.bth.dest_qp, c);
   if (qp == nullptr) {
     ++counters_.unknown_qp;
     return std::nullopt;
@@ -77,16 +88,17 @@ std::optional<Completion> SimulatedRnic::admit_and_execute(
     ++counters_.bad_opcode;
     return std::nullopt;
   }
-  if (!qp->accept_psn(req.bth.psn)) {
+  if (!qp->admit_psn(req.bth.psn)) {
     ++counters_.psn_rejected;
     return std::nullopt;
   }
+  tally_accepted(qp, c);
 
-  auto completion = execute(req, lc);
+  auto completion = execute(req, c);
   if (completion) {
     completion->qpn = qp->qpn();
     // PD check happens inside execute() via the MR; verify it matched the QP.
-    ++counters_.executed;
+    ++c.executed;
     if (hook_) hook_(*completion);
   }
   return completion;
@@ -95,38 +107,47 @@ std::optional<Completion> SimulatedRnic::admit_and_execute(
 std::size_t SimulatedRnic::process_frames(
     std::span<const std::span<const std::byte>> frames) {
   constexpr std::size_t kBurst = 32;
-  std::size_t executed = 0;
-  WireClass cls[kBurst];
+  // Chunk entries, each built in place by classify_wire_frame: a chunk
+  // default-constructs and copies no WireClass.
+  union Entry {
+    Entry() noexcept {}
+    WireClass cls;
+  };
+  Entry entry[kBurst];
   bool stalled[kBurst];
+  std::size_t executed = 0;
   for (std::size_t base = 0; base < frames.size(); base += kBurst) {
     const std::size_t m = std::min(kBurst, frames.size() - base);
-    LookupCache lc;
+    Chunk chunk;
+    counters_.frames += m;
 
     // Stage 1: stateless classification — header checks, iCRC and request
     // fields — for the whole chunk. No RNIC state is read or written here
-    // beyond counters.
+    // beyond the stall budget.
     for (std::size_t i = 0; i < m; ++i) {
-      ++counters_.frames;
       stalled[i] = consume_stall();
       if (stalled[i]) {
         ++counters_.stalled;
         continue;
       }
-      cls[i] = classify_wire_frame(frames[base + i], validate_icrc_);
+      ::new (&entry[i].cls)
+          WireClass(classify_wire_frame(frames[base + i], validate_icrc_));
     }
 
     // Stage 2: resolve each admitted frame's MR once (memoized) and prefetch
     // the DMA target line, so stage 3's stores hit warm cache. Advisory only;
     // every access check still runs in execute().
     for (std::size_t i = 0; i < m; ++i) {
-      if (stalled[i] || cls[i].verdict != WireClass::Verdict::kOk) continue;
-      const RoceRequest& req = cls[i].req;
+      if (stalled[i] || entry[i].cls.verdict != WireClass::Verdict::kOk) {
+        continue;
+      }
+      const RoceRequest& req = entry[i].cls.req;
       const bool atomic = is_atomic(req.bth.opcode);
       const std::uint64_t vaddr =
           atomic ? req.atomic_eth->vaddr : req.reth->vaddr;
       const std::uint32_t rkey = atomic ? req.atomic_eth->rkey : req.reth->rkey;
       const std::uint64_t len = atomic ? 8 : req.payload.size();
-      const MemoryRegion* mr = find_mr(rkey, lc);
+      const MemoryRegion* mr = find_mr(rkey, chunk);
       if (mr != nullptr && mr->contains(vaddr, len)) {
 #if defined(__GNUC__) || defined(__clang__)
         __builtin_prefetch(mr->at(vaddr), 1);
@@ -135,29 +156,31 @@ std::size_t SimulatedRnic::process_frames(
     }
 
     // Stage 3: in-order admission + apply (PSN windows are stateful, so the
-    // original frame order is preserved exactly).
+    // original frame order is preserved exactly), then the chunk's counter
+    // adds.
     for (std::size_t i = 0; i < m; ++i) {
       if (stalled[i]) continue;
-      if (dispatch_classified(cls[i], lc)) ++executed;
+      if (dispatch_classified(entry[i].cls, chunk)) ++executed;
     }
+    flush(chunk);
   }
   return executed;
 }
 
 std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
-                                                 LookupCache& lc) {
+                                                 Chunk& c) {
   const bool atomic = is_atomic(req.bth.opcode);
   const std::uint64_t vaddr =
       atomic ? req.atomic_eth->vaddr : req.reth->vaddr;
   const std::uint32_t rkey = atomic ? req.atomic_eth->rkey : req.reth->rkey;
   const std::uint64_t len = atomic ? 8 : req.payload.size();
 
-  const MemoryRegion* mr = find_mr(rkey, lc);
+  const MemoryRegion* mr = find_mr(rkey, c);
   if (mr == nullptr) {
     ++counters_.bad_rkey;
     return std::nullopt;
   }
-  QueuePair* qp = find_qp(req.bth.dest_qp, lc);
+  QueuePair* qp = find_qp(req.bth.dest_qp, c);
   if (qp != nullptr && qp->pd() != mr->pd) {
     ++counters_.pd_mismatch;
     return std::nullopt;
@@ -172,15 +195,15 @@ std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
     return std::nullopt;
   }
 
-  Completion c{};
-  c.opcode = req.bth.opcode;
-  c.vaddr = vaddr;
-  c.length = static_cast<std::uint32_t>(len);
+  Completion done{};
+  done.opcode = req.bth.opcode;
+  done.vaddr = vaddr;
+  done.length = static_cast<std::uint32_t>(len);
 
   if (!atomic) {
     std::memcpy(mr->at(vaddr), req.payload.data(), req.payload.size());
-    ++counters_.writes;
-    return c;
+    ++c.writes;
+    return done;
   }
 
   // Atomics operate on naturally aligned 64-bit words, big-endian on the
@@ -191,12 +214,12 @@ std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
   }
   std::uint64_t prior;
   std::memcpy(&prior, mr->at(vaddr), 8);
-  c.atomic_prior = prior;
+  done.atomic_prior = prior;
 
   if (req.bth.opcode == Opcode::kRcFetchAdd) {
     const std::uint64_t next = prior + req.atomic_eth->swap_add;
     std::memcpy(mr->at(vaddr), &next, 8);
-    ++counters_.fetch_adds;
+    ++c.fetch_adds;
   } else {  // CompareSwap
     ++counters_.compare_swaps;
     if (prior == req.atomic_eth->compare) {
@@ -205,11 +228,11 @@ std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
       ++counters_.cas_mismatches;
     }
   }
-  return c;
+  return done;
 }
 
 std::optional<Completion> SimulatedRnic::execute_multiwrite(
-    std::span<const std::byte> udp_payload) {
+    std::span<const std::byte> udp_payload, Chunk& c) {
   const auto mw = parse_multiwrite(udp_payload);
   if (!mw) {
     ++counters_.bad_icrc;  // CRC/format failure, same class as a bad iCRC
@@ -234,17 +257,18 @@ std::optional<Completion> SimulatedRnic::execute_multiwrite(
   }
   for (const auto vaddr : mw->vaddrs) {
     std::memcpy(mr->at(vaddr), mw->payload.data(), mw->payload.size());
-    ++counters_.writes;
   }
+  c.writes += mw->vaddrs.size();
   ++counters_.multiwrite_frames;
-  ++counters_.executed;
+  ++c.executed;
 
-  Completion c{};
-  c.opcode = Opcode::kRcRdmaWriteOnly;  // closest CQE analogue
-  c.vaddr = mw->vaddrs.front();
-  c.length = static_cast<std::uint32_t>(mw->payload.size() * mw->vaddrs.size());
-  if (hook_) hook_(c);
-  return c;
+  Completion done{};
+  done.opcode = Opcode::kRcRdmaWriteOnly;  // closest CQE analogue
+  done.vaddr = mw->vaddrs.front();
+  done.length =
+      static_cast<std::uint32_t>(mw->payload.size() * mw->vaddrs.size());
+  if (hook_) hook_(done);
+  return done;
 }
 
 void SimulatedRnic::receive(net::Packet packet, std::uint64_t /*now_ns*/) {

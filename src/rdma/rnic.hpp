@@ -38,7 +38,11 @@ namespace dart::rdma {
 // All counters are RelaxedCounter: the sharded ingest pipeline drives one
 // RNIC from several shard workers concurrently (a hardware RNIC services
 // many DMA engines the same way), so the statistics must tolerate parallel
-// increments without a data race.
+// increments without a data race. process_frames adds `frames` at the start
+// of each 32-frame chunk and the hot ones it earns (`executed`, `writes`,
+// `fetch_adds` and each QP's `accepted`) once at its end, so every counter
+// is exact whenever no call is in flight, and a live read lags by at most
+// one chunk.
 struct RnicCounters {
   RelaxedCounter frames;          // frames seen
   RelaxedCounter executed;        // operations applied to memory
@@ -112,8 +116,8 @@ class SimulatedRnic : public net::Node {
   // stateless classification (classify_wire_frame) for the whole chunk,
   // then MR resolution with software prefetch of the DMA target lines, then
   // in-order admission and apply (PSN windows are stateful, so ordering is
-  // preserved exactly). Verdicts and counters are identical to calling
-  // process_frame per frame.
+  // preserved exactly), then one add per hot counter (RnicCounters). Verdicts
+  // and counter totals are identical to calling process_frame per frame.
   std::size_t process_frames(std::span<const std::span<const std::byte>> frames);
 
   // net::Node — frames delivered by the fabric simulator.
@@ -157,38 +161,58 @@ class SimulatedRnic : public net::Node {
   }
 
  private:
-  // rkey→MR / qpn→QP resolution memo for one burst. find_by_rkey is a linear
-  // registry scan and the reports in a burst overwhelmingly target one MR
-  // through one QP, so process_frames resolves each distinct key once per
-  // chunk. Single-frame calls use a fresh cache, which makes the memoized
-  // path behave identically (the control plane is quiescent during data-path
-  // calls — see the thread-safety note on process_frame).
-  struct LookupCache {
+  // One burst chunk's working state. The rkey→MR / qpn→QP memo: find_by_rkey
+  // is a linear registry scan and the reports in a burst overwhelmingly
+  // target one MR through one QP, so each distinct key is resolved once per
+  // chunk. And the hot counters the chunk's frames earn, tallied in plain
+  // integers and added to the shared RelaxedCounters once by flush(), so an
+  // executed frame costs no locked add of its own. process_frame runs the
+  // same path as a chunk of one (the control plane is quiescent during
+  // data-path calls — see the thread-safety note on process_frame).
+  struct Chunk {
     std::uint32_t rkey = 0;
     const MemoryRegion* mr = nullptr;
     bool mr_set = false;
     std::uint32_t qpn = 0;
     QueuePair* qp = nullptr;
     bool qp_set = false;
+
+    std::uint64_t executed = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t fetch_adds = 0;
+    // PSN admissions not yet added to `accepted_qp`: a chunk can hold frames
+    // for several QPs, so a run of admissions is credited to its QP as soon
+    // as a frame for another QP is admitted.
+    QueuePair* accepted_qp = nullptr;
+    std::uint64_t accepted = 0;
   };
 
-  [[nodiscard]] const MemoryRegion* find_mr(std::uint32_t rkey,
-                                            LookupCache& lc) {
-    if (!lc.mr_set || lc.rkey != rkey) {
-      lc.mr = memory_.find_by_rkey(rkey);
-      lc.rkey = rkey;
-      lc.mr_set = true;
+  [[nodiscard]] const MemoryRegion* find_mr(std::uint32_t rkey, Chunk& c) {
+    if (!c.mr_set || c.rkey != rkey) {
+      c.mr = memory_.find_by_rkey(rkey);
+      c.rkey = rkey;
+      c.mr_set = true;
     }
-    return lc.mr;
+    return c.mr;
   }
-  [[nodiscard]] QueuePair* find_qp(std::uint32_t qpn, LookupCache& lc) {
-    if (!lc.qp_set || lc.qpn != qpn) {
-      lc.qp = qps_.find(qpn);
-      lc.qpn = qpn;
-      lc.qp_set = true;
+  [[nodiscard]] QueuePair* find_qp(std::uint32_t qpn, Chunk& c) {
+    if (!c.qp_set || c.qpn != qpn) {
+      c.qp = qps_.find(qpn);
+      c.qpn = qpn;
+      c.qp_set = true;
     }
-    return lc.qp;
+    return c.qp;
   }
+  static void tally_accepted(QueuePair* qp, Chunk& c) noexcept {
+    if (qp != c.accepted_qp) {
+      if (c.accepted != 0) c.accepted_qp->count_accepted(c.accepted);
+      c.accepted_qp = qp;
+      c.accepted = 0;
+    }
+    ++c.accepted;
+  }
+  // Adds the chunk's tallies to the shared counters.
+  void flush(const Chunk& c) noexcept;
 
   // True if this frame was eaten by an injected stall (counts it too).
   [[nodiscard]] bool consume_stall() noexcept;
@@ -197,13 +221,13 @@ class SimulatedRnic : public net::Node {
   // is no UDP datagram, or one to a port that is neither 4791 nor the
   // enabled DTA port, counts as not_roce.
   std::optional<Completion> dispatch_classified(const WireClass& cls,
-                                                LookupCache& lc);
+                                                Chunk& c);
   // QP admission (state / transport class / PSN window) then execute.
   std::optional<Completion> admit_and_execute(const RoceRequest& req,
-                                              LookupCache& lc);
-  std::optional<Completion> execute(const RoceRequest& req, LookupCache& lc);
+                                              Chunk& c);
+  std::optional<Completion> execute(const RoceRequest& req, Chunk& c);
   std::optional<Completion> execute_multiwrite(
-      std::span<const std::byte> udp_payload);
+      std::span<const std::byte> udp_payload, Chunk& c);
 
   MemoryRegistry memory_;
   QpRegistry qps_;

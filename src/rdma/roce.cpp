@@ -1,8 +1,9 @@
 #include "rdma/roce.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
+#include <new>
+#include <type_traits>
 
 #include "common/hash.hpp"
 
@@ -75,6 +76,11 @@ namespace {
 
 constexpr std::size_t kLrhLen = 8;  // masked dummy LRH in front of the IP header
 
+// The masked head every iCRC-checked frame carries: dummy LRH, IPv4, UDP and
+// BTH, three 16-byte CRC blocks.
+constexpr std::size_t kIcrcHeadLen =
+    kLrhLen + net::kIpv4HeaderLen + net::kUdpHeaderLen + kBthLen;
+
 // Writes the iCRC's view of a frame's first `n` bytes from the IP header on
 // into `image`, behind the kLrhLen dummy-LRH 0xFF bytes: IPv4 ToS, TTL and
 // header checksum, the UDP checksum and the BTH resv8a byte set to 0xFF, and
@@ -95,10 +101,6 @@ void icrc_masked_image(const std::byte* frame, std::size_t n,
   udp[net::kUdpHeaderLen + 4] = std::byte{0xFF};  // BTH resv8a
 }
 
-// Frame bytes past the Ethernet header that the classifier's stack image
-// holds: every report-sized frame fits, so its iCRC is one CRC stream.
-constexpr std::size_t kImageBytes = 1536;
-
 }  // namespace
 
 Crc32 icrc_prefix_state(std::span<const std::byte> frame) noexcept {
@@ -114,6 +116,10 @@ Crc32 icrc_prefix_state(std::span<const std::byte> frame) noexcept {
 // Wire classification
 // ---------------------------------------------------------------------------
 
+static_assert(std::is_trivially_copyable_v<WireClass>,
+              "classify_wire_frame results are built in place and copied "
+              "as plain bytes");
+
 WireClass classify_wire_frame(std::span<const std::byte> frame,
                               bool check_icrc) noexcept {
   using V = WireClass::Verdict;
@@ -122,7 +128,10 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
 
   WireClass out;
   const auto udp_payload_len = net::udp_payload_length(frame);
-  if (!udp_payload_len) return out;
+  if (!udp_payload_len) {
+    out.verdict = V::kNotUdp;
+    return out;
+  }
   const std::size_t payload_len = *udp_payload_len;
   const std::byte* f = frame.data();
   out.udp_dst_port = load_be16(f + kEth + net::kIpv4HeaderLen + 2);
@@ -136,24 +145,20 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
     return out;
   }
 
+  const std::byte* bth = f + kRoceOff;
   const std::size_t icrc_off = kRoceOff + payload_len - kIcrcLen;
   if (check_icrc) {
-    // The masked image of the frame from the IP header to the iCRC slot,
-    // CRC'd as one contiguous stream (long enough to engage the PCLMUL
-    // folds) as far as the stack copy reaches; a longer frame streams the
-    // rest straight from the wire. CRC streaming is associative over
-    // concatenation, so this equals icrc_prefix_state resumed over the
-    // variant bytes. The raw-state steps are the ones Crc32::update runs.
-    const std::size_t covered = icrc_off - kEth;
-    const std::size_t head = std::min(covered, kImageBytes);
-    alignas(16) std::byte image[kLrhLen + kImageBytes];
-    icrc_masked_image(f, head, image);
-    std::uint32_t state = dart::detail::crc32_update_dispatch(
-        0xFFFF'FFFFu, image, kLrhLen + head);
-    if (head < covered) {
-      state = dart::detail::crc32_update_dispatch(state, f + kEth + head,
-                                                  covered - head);
-    }
+    // The masked head from a fixed stack image, then the bytes from the end
+    // of the BTH to the iCRC slot straight from the frame. CRC streaming is
+    // associative over concatenation, so this equals icrc_prefix_state
+    // resumed over the variant bytes. The raw-state steps are the ones
+    // Crc32::update runs.
+    alignas(16) std::byte head[kIcrcHeadLen];
+    icrc_masked_image(f, kIcrcHeadLen - kLrhLen, head);
+    std::uint32_t state =
+        dart::detail::crc32_update_dispatch(0xFFFF'FFFFu, head, kIcrcHeadLen);
+    state = dart::detail::crc32_update_dispatch(
+        state, bth + kBthLen, icrc_off - kRoceOff - kBthLen);
     std::uint32_t got;
     std::memcpy(&got, f + icrc_off, kIcrcLen);
     if (got != ~state) {
@@ -163,7 +168,6 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
   }
 
   // The request, field by field at fixed offsets.
-  const std::byte* bth = f + kRoceOff;
   const std::uint8_t op = std::to_integer<std::uint8_t>(bth[0]);
   const std::uint8_t flags = std::to_integer<std::uint8_t>(bth[1]);
   switch (op) {
@@ -180,48 +184,55 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
     out.verdict = V::kBadRequest;
     return out;
   }
-  RoceRequest& req = out.req;
-  req.bth.opcode = static_cast<Opcode>(op);
-  req.bth.solicited = (flags & 0x80) != 0;
-  req.bth.mig_req = (flags & 0x40) != 0;
-  req.bth.pad_count = (flags >> 4) & 0x3;
-  req.bth.pkey = load_be16(bth + 2);
-  req.bth.dest_qp = load_be32(bth + 4) & 0x00FF'FFFFu;
   const std::uint32_t psn_word = load_be32(bth + 8);
-  req.bth.ack_req = (psn_word & 0x8000'0000u) != 0;
-  req.bth.psn = psn_word & 0x00FF'FFFFu;
+  const Bth hdr{.opcode = static_cast<Opcode>(op),
+                .solicited = (flags & 0x80) != 0,
+                .mig_req = (flags & 0x40) != 0,
+                .pad_count = static_cast<std::uint8_t>((flags >> 4) & 0x3),
+                .pkey = load_be16(bth + 2),
+                .dest_qp = load_be32(bth + 4) & 0x00FF'FFFFu,
+                .ack_req = (psn_word & 0x8000'0000u) != 0,
+                .psn = psn_word & 0x00FF'FFFFu};
+  // Starts the request's lifetime by default-initialization and overwrites
+  // it field by field: a braced aggregate of the whole request would make
+  // GCC clear all of it first.
+  const auto start_request = [&out, &hdr, f, icrc_off]() -> RoceRequest& {
+    RoceRequest& req = *::new (&out.req) RoceRequest;
+    req.bth = hdr;
+    std::memcpy(&req.icrc, f + icrc_off, kIcrcLen);
+    out.verdict = V::kOk;
+    return req;
+  };
 
   const std::size_t roce_len = payload_len - kIcrcLen;
-  if (is_write(req.bth.opcode)) {
+  if (is_write(hdr.opcode)) {
     if (roce_len < kBthLen + kRethLen) {
       out.verdict = V::kBadRequest;
       return out;
     }
-    Reth reth;
-    reth.vaddr = load_be64(bth + kBthLen);
-    reth.rkey = load_be32(bth + kBthLen + 8);
-    reth.dma_length = load_be32(bth + kBthLen + 12);
-    req.reth = reth;
-    req.payload = frame.subspan(kRoceOff + kBthLen + kRethLen,
-                                roce_len - kBthLen - kRethLen);
-    if (req.payload.size() != reth.dma_length) {
+    const Reth reth{.vaddr = load_be64(bth + kBthLen),
+                    .rkey = load_be32(bth + kBthLen + 8),
+                    .dma_length = load_be32(bth + kBthLen + 12)};
+    const auto payload = frame.subspan(kRoceOff + kBthLen + kRethLen,
+                                       roce_len - kBthLen - kRethLen);
+    if (payload.size() != reth.dma_length) {
       out.verdict = V::kBadRequest;
       return out;
     }
+    RoceRequest& req = start_request();
+    req.reth = reth;
+    req.payload = payload;
   } else {  // atomic: AtomicETH then nothing else before the iCRC
     if (roce_len != kBthLen + kAtomicEthLen) {
       out.verdict = V::kBadRequest;
       return out;
     }
-    AtomicEth aeth;
-    aeth.vaddr = load_be64(bth + kBthLen);
-    aeth.rkey = load_be32(bth + kBthLen + 8);
-    aeth.swap_add = load_be64(bth + kBthLen + 12);
-    aeth.compare = load_be64(bth + kBthLen + 20);
-    req.atomic_eth = aeth;
+    start_request().atomic_eth =
+        AtomicEth{.vaddr = load_be64(bth + kBthLen),
+                  .rkey = load_be32(bth + kBthLen + 8),
+                  .swap_add = load_be64(bth + kBthLen + 12),
+                  .compare = load_be64(bth + kBthLen + 20)};
   }
-  std::memcpy(&req.icrc, f + icrc_off, kIcrcLen);
-  out.verdict = V::kOk;
   return out;
 }
 

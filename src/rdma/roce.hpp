@@ -139,10 +139,12 @@ inline constexpr std::size_t kIcrcVariantOffset =
 //      payload for the caller (the RNIC's DTA multiwrite);
 //   3. a payload with no room for BTH + iCRC is kBadIcrc when the iCRC is
 //      checked and kBadRequest when not;
-//   4. a trailing iCRC that does not match is kBadIcrc. It is computed over
-//      the masked image for any frame length: report-sized frames in one
-//      contiguous CRC stream over a stack copy, longer ones with the bytes
-//      past that copy streamed from the frame;
+//   4. a trailing iCRC that does not match is kBadIcrc. One code path serves
+//      every frame length: the CRC runs over a fixed 48-byte masked image of
+//      the head (dummy LRH, IPv4, UDP and BTH, which every frame that gets
+//      here carries), then resumes over the rest of the frame in place, from
+//      the RETH or AtomicETH to the iCRC slot (0 bytes for a BTH-only
+//      datagram);
 //   5. a malformed BTH/RETH/AtomicETH is kBadRequest, anything else kOk.
 struct WireClass {
   enum class Verdict : std::uint8_t {
@@ -153,10 +155,16 @@ struct WireClass {
     kOk,          // `req` holds the parsed request
   };
 
-  Verdict verdict = Verdict::kNotUdp;
-  std::uint16_t udp_dst_port = 0;
+  // Fills nothing: classify_wire_frame writes exactly the fields its
+  // verdict defines, so a frame costs no zero-fill.
+  WireClass() noexcept {}
+
+  Verdict verdict;
+  std::uint16_t udp_dst_port;              // valid unless kNotUdp
   std::span<const std::byte> udp_payload;  // valid unless kNotUdp
-  RoceRequest req{};                       // valid when kOk
+  union {
+    RoceRequest req;  // valid when kOk
+  };
 };
 
 // `check_icrc` mirrors the RNIC's validate-iCRC knob; when false the CRC

@@ -17,8 +17,9 @@
 //   kIcrcVariantOffset to the iCRC slot gives the reference iCRC.
 //
 // Each case builds one frame: an RC or UC WRITE with 0-3,000 payload bytes,
-// a FETCH_ADD, a COMPARE_SWAP, a DTA multiwrite or a plain datagram, over
-// UDP or TCP, to port 4791, the DTA port or another. It then derives the
+// a FETCH_ADD, a COMPARE_SWAP, a BTH with 0-15 bytes behind it, a DTA
+// multiwrite or a plain datagram, over UDP or TCP, to port 4791, the DTA
+// port or another. It then derives the
 // frames to feed by one kind of damage: none; each header byte flipped with
 // the IPv4 checksum and the iCRC left stale or made valid again; non-zero
 // IPv4 flags and fragment offset; every protocol value; UDP lengths 0-40,
@@ -61,12 +62,13 @@ enum class Shape : std::uint8_t {
   kUcWrite,
   kFetchAdd,
   kCompareSwap,
+  kShortTail,  // BTH + 0-15 bytes: the iCRC passes, the request parse fails
   kMultiwrite,
   kDatagram,
   kCount,
 };
 
-bool is_roce(Shape s) { return s <= Shape::kCompareSwap; }
+bool is_roce(Shape s) { return s <= Shape::kShortTail; }
 
 net::MacAddr gen_mac(Rng& rng) {
   net::MacAddr mac{};
@@ -77,7 +79,7 @@ net::MacAddr gen_mac(Rng& rng) {
   return mac;
 }
 
-// 0-3,000 bytes: a third short, a fifth past what fits a 1,536-byte frame.
+// 0-3,000 bytes: a third short, a fifth 1,500 or more.
 std::size_t gen_length(Rng& rng) {
   if (rng.chance(0.2)) return rng.range(1500, 3000);
   if (rng.chance(0.4)) return rng.below(65);
@@ -112,6 +114,20 @@ std::vector<std::byte> gen_roce_payload(Rng& rng, Shape shape,
 
   std::vector<std::byte> out;
   BufWriter w(out);
+  if (shape == Shape::kShortTail) {
+    if (rng.chance(0.5)) {
+      constexpr std::array<rdma::Opcode, 4> kOps = {
+          rdma::Opcode::kRcRdmaWriteOnly, rdma::Opcode::kUcRdmaWriteOnly,
+          rdma::Opcode::kRcFetchAdd, rdma::Opcode::kRcCompareSwap};
+      bth.opcode = kOps[rng.below(kOps.size())];
+    } else {
+      bth.opcode = static_cast<rdma::Opcode>(rng.below(256));
+    }
+    bth.serialize(w);
+    w.bytes(rng.bytes(rng.below(16)));
+    w.zeros(rdma::kIcrcLen);
+    return out;
+  }
   if (shape == Shape::kRcWrite || shape == Shape::kUcWrite) {
     bth.opcode = shape == Shape::kRcWrite ? rdma::Opcode::kRcRdmaWriteOnly
                                           : rdma::Opcode::kUcRdmaWriteOnly;
@@ -681,7 +697,8 @@ struct Coverage {
   std::array<std::uint64_t, static_cast<int>(Damage::kCount)> by_damage{};
   std::array<std::uint64_t, static_cast<int>(Outcome::kCount)> outcomes{};
   std::uint64_t ok_tcp = 0;
-  std::uint64_t ok_long = 0;        // requests in frames past 1,536 bytes
+  std::uint64_t ok_long_tail = 0;   // requests with >= 1,500 bytes past BTH
+  std::uint64_t short_tail = 0;     // iCRC-valid BTH + 0-15 bytes to 4791
   std::uint64_t ok_fragment = 0;    // requests with flags/fragment set
   std::uint64_t runts_4791 = 0;     // port 4791 with no room for BTH + iCRC
   std::uint64_t dta_executed = 0;
@@ -718,10 +735,15 @@ std::optional<Failure> roce_case(Rng& rng, Coverage& cov, bool ingest) {
     ++cov.by_verdict[static_cast<int>(checked.verdict)];
     if (checked.verdict == V::kOk) {
       cov.ok_tcp += frame[kIp + 9] == std::byte{net::kIpProtoTcp};
-      cov.ok_long += frame.size() > 1536;
+      cov.ok_long_tail +=
+          checked.udp_payload.size() >= rdma::kBthLen + 1500 + rdma::kIcrcLen;
       cov.ok_fragment +=
           frame[kIp + 6] != std::byte{0} || frame[kIp + 7] != std::byte{0};
     }
+    cov.short_tail += checked.verdict == V::kBadRequest &&
+                      checked.udp_dst_port == net::kRoceV2UdpPort &&
+                      checked.udp_payload.size() <
+                          rdma::kBthLen + 16 + rdma::kIcrcLen;
     cov.runts_4791 += checked.verdict != V::kNotUdp &&
                       checked.udp_dst_port == net::kRoceV2UdpPort &&
                       checked.udp_payload.size() <
@@ -778,7 +800,8 @@ TEST(PropRoce, ClassifierAgreesWithLayeredReference) {
   for (const auto n : cov.by_verdict) EXPECT_GT(n, 300u);
   for (const auto n : cov.by_damage) EXPECT_GT(n, 50u);
   EXPECT_GT(cov.ok_tcp, 50u);
-  EXPECT_GT(cov.ok_long, 50u);
+  EXPECT_GT(cov.ok_long_tail, 50u);
+  EXPECT_GT(cov.short_tail, 50u);
   EXPECT_GT(cov.ok_fragment, 50u);
   EXPECT_GT(cov.runts_4791, 300u);
 }
