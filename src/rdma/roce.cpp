@@ -1,5 +1,6 @@
 #include "rdma/roce.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <new>
@@ -87,11 +88,11 @@ constexpr std::size_t kIcrcHeadLen =
 // the IPv4 flags and fragment offset read as 0. `n` covers at least the IP
 // and UDP headers and BTH bytes 0..7. The one place the masked bytes are
 // named.
-void icrc_masked_image(const std::byte* frame, std::size_t n,
-                       std::byte* image) noexcept {
-  std::memset(image, 0xFF, kLrhLen);
+constexpr void icrc_masked_image(const std::byte* frame, std::size_t n,
+                                 std::byte* image) noexcept {
+  std::fill_n(image, kLrhLen, std::byte{0xFF});
   std::byte* ip = image + kLrhLen;
-  std::memcpy(ip, frame + net::kEthernetHeaderLen, n);
+  std::copy_n(frame + net::kEthernetHeaderLen, n, ip);
   ip[1] = std::byte{0xFF};            // ToS (DSCP/ECN)
   ip[6] = ip[7] = std::byte{0};       // flags + fragment offset
   ip[8] = std::byte{0xFF};            // TTL
@@ -100,6 +101,29 @@ void icrc_masked_image(const std::byte* frame, std::size_t n,
   udp[6] = udp[7] = std::byte{0xFF};              // UDP checksum
   udp[net::kUdpHeaderLen + 4] = std::byte{0xFF};  // BTH resv8a
 }
+
+// The masked head as masks over the kIcrcHeadLen frame bytes that start
+// kLrhLen before the IP header: image byte i is (raw[i] & keep[i]) |
+// force[i]. Derived from icrc_masked_image at compile time, so the
+// classifier builds the image in whole 16-byte blocks (which the CRC
+// kernel's block loads then read back at once) with no masked byte named
+// twice.
+struct HeadMask {
+  std::array<std::byte, kIcrcHeadLen> keep{};
+  std::array<std::byte, kIcrcHeadLen> force{};
+};
+
+constexpr HeadMask make_head_mask() noexcept {
+  std::array<std::byte, net::kEthernetHeaderLen + kIcrcHeadLen> ones{};
+  std::array<std::byte, net::kEthernetHeaderLen + kIcrcHeadLen> zeros{};
+  ones.fill(std::byte{0xFF});
+  HeadMask m;
+  icrc_masked_image(ones.data(), kIcrcHeadLen - kLrhLen, m.keep.data());
+  icrc_masked_image(zeros.data(), kIcrcHeadLen - kLrhLen, m.force.data());
+  return m;
+}
+
+constexpr HeadMask kHeadMask = make_head_mask();
 
 }  // namespace
 
@@ -154,7 +178,10 @@ WireClass classify_wire_frame(std::span<const std::byte> frame,
     // resumed over the variant bytes. The raw-state steps are the ones
     // Crc32::update runs.
     alignas(16) std::byte head[kIcrcHeadLen];
-    icrc_masked_image(f, kIcrcHeadLen - kLrhLen, head);
+    const std::byte* raw = f + kEth - kLrhLen;
+    for (std::size_t i = 0; i < kIcrcHeadLen; ++i) {
+      head[i] = (raw[i] & kHeadMask.keep[i]) | kHeadMask.force[i];
+    }
     std::uint32_t state =
         dart::detail::crc32_update_dispatch(0xFFFF'FFFFu, head, kIcrcHeadLen);
     state = dart::detail::crc32_update_dispatch(
