@@ -10,9 +10,16 @@
 //
 // Writers are assumed serialized externally (one control plane); readers are
 // unlimited and never block the writer. Fields protected by a SeqCount must
-// themselves be std::atomic (relaxed is enough) or immutable: the seqlock
-// proves *composite* consistency, the per-field atomicity keeps the racing
-// reads defined.
+// themselves be std::atomic or immutable: the seqlock proves *composite*
+// consistency, the per-field atomicity keeps the racing reads defined.
+//
+// The ordering contract uses no fence, so ThreadSanitizer, which models
+// acquire and release on atomics but not std::atomic_thread_fence, checks
+// it: the writer stores every protected field with release between
+// write_begin and write_end, and a reader loads each one with acquire
+// inside its read section. A reader whose acquire load sees a write's store
+// then sees that write's odd generation, or a later one, in read_retry and
+// retries; a reader that sees no write's store read one consistent state.
 #pragma once
 
 #include <atomic>
@@ -39,8 +46,9 @@ class SeqCount {
   }
 
   // True if the generation moved since read_begin — the reader must retry.
+  // Sound only under the contract above: the section's acquire loads keep
+  // this load from reading a generation older than the stores they saw.
   [[nodiscard]] bool read_retry(std::uint64_t begin_gen) const noexcept {
-    std::atomic_thread_fence(std::memory_order_acquire);
     return gen_.load(std::memory_order_acquire) != begin_gen;
   }
 
@@ -52,8 +60,9 @@ class SeqCount {
   std::atomic<std::uint64_t> gen_{0};
 };
 
-// Convenience: retry `read` (which must be side-effect free) until it ran
-// against a stable generation, then return its result.
+// Convenience: retry `read` (which must be side-effect free and load every
+// protected field with acquire) until it ran against a stable generation,
+// then return its result.
 template <typename Fn>
 auto seq_read(const SeqCount& seq, Fn&& read) {
   for (;;) {

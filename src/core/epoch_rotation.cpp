@@ -49,23 +49,24 @@ RemoteStoreInfo RotatingCollector::info_for(const Region& region) const noexcept
 RemoteStoreInfo RotatingCollector::active_info() const noexcept {
   // Seqlock read: if a flip lands mid-read we retry, so the returned row is
   // always a region that was active for one consistent generation. The body
-  // only touches atomics and per-region fields frozen at construction.
+  // only touches atomics, loaded with acquire, and per-region fields frozen
+  // at construction.
   return seq_read(seq_, [&] {
-    return info_for(regions_[active_.load(std::memory_order_relaxed)]);
+    return info_for(regions_[active_.load(std::memory_order_acquire)]);
   });
 }
 
 RemoteStoreInfo RotatingCollector::standby_info() const noexcept {
   return seq_read(seq_, [&] {
-    return info_for(regions_[1 - active_.load(std::memory_order_relaxed)]);
+    return info_for(regions_[1 - active_.load(std::memory_order_acquire)]);
   });
 }
 
 std::pair<std::uint64_t, std::uint32_t> RotatingCollector::epoch_snapshot()
     const noexcept {
   return seq_read(seq_, [&] {
-    return std::pair{epoch_.load(std::memory_order_relaxed),
-                     active_.load(std::memory_order_relaxed)};
+    return std::pair{epoch_.load(std::memory_order_acquire),
+                     active_.load(std::memory_order_acquire)};
   });
 }
 
@@ -77,22 +78,24 @@ QueryResult RotatingCollector::query(std::span<const std::byte> key,
   // and the resolve is benign: the old region stays registered and readable
   // through the grace period.
   const std::uint32_t region =
-      seq_read(seq_, [&] { return active_.load(std::memory_order_relaxed); });
+      seq_read(seq_, [&] { return active_.load(std::memory_order_acquire); });
   return QueryEngine(*regions_[region].store).resolve(key, policy);
 }
 
 QueryResult RotatingCollector::query_standby(std::span<const std::byte> key,
                                              ReturnPolicy policy) const {
   const std::uint32_t region =
-      seq_read(seq_, [&] { return active_.load(std::memory_order_relaxed); });
+      seq_read(seq_, [&] { return active_.load(std::memory_order_acquire); });
   return QueryEngine(*regions_[1 - region].store).resolve(key, policy);
 }
 
 void RotatingCollector::flip() {
+  // Release stores under the seqlock: a reader whose acquire load sees one
+  // of them also sees the odd generation and retries (common/seqlock.hpp).
   seq_.write_begin();
   active_.store(1 - active_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+                std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
   seq_.write_end();
 }
 

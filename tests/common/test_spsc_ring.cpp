@@ -161,22 +161,23 @@ TEST(SpscRing, BatchedProducerConsumerTransfersEverythingInOrder) {
 
 TEST(SeqCount, ReadersRetryAcrossWrites) {
   SeqCount seq;
-  // Two fields with the invariant a == b, updated under the seqlock.
+  // Two fields with the invariant a == b, updated under the seqlock with
+  // its contract: release stores in the write, acquire loads in the read.
   std::atomic<std::uint64_t> a{0}, b{0};
   constexpr std::uint64_t kWrites = 100000;
   std::thread writer([&] {
     for (std::uint64_t i = 1; i <= kWrites; ++i) {
       seq.write_begin();
-      a.store(i, std::memory_order_relaxed);
-      b.store(i, std::memory_order_relaxed);
+      a.store(i, std::memory_order_release);
+      b.store(i, std::memory_order_release);
       seq.write_end();
     }
   });
   std::uint64_t last = 0;
   while (last < kWrites) {
     const auto pair = seq_read(seq, [&] {
-      return std::pair{a.load(std::memory_order_relaxed),
-                       b.load(std::memory_order_relaxed)};
+      return std::pair{a.load(std::memory_order_acquire),
+                       b.load(std::memory_order_acquire)};
     });
     ASSERT_EQ(pair.first, pair.second) << "torn read";
     ASSERT_GE(pair.first, last);
