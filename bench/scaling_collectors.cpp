@@ -7,6 +7,9 @@
 //   ingest     C collectors ingest pre-crafted RoCEv2 report frames on C
 //              independent threads (each RNIC and its memory are private —
 //              the shared-nothing property), reported as aggregate reports/s.
+//              Every fed frame must execute: the bench counts each
+//              process_frame verdict and exits non-zero when a collector
+//              executed fewer frames than it was fed.
 //   movement   one streamed hash pass over the full --flows key universe
 //              (default 1e8) histograms keys into the consistent-hash ring's
 //              buckets, then removes a single member: the keys that change
@@ -152,8 +155,18 @@ std::vector<MoveStats> movement_pass(std::uint64_t flows) {
   return out;
 }
 
-double run_ingest(std::uint32_t n_collectors,
-                  std::uint64_t frames_per_collector) {
+// Aggregate ingest rate of one pool, and the share of fed frames that
+// executed. `unexecuted` names each collector that executed fewer frames
+// than it was fed; a bench whose frames were counted but not executed
+// measured nothing.
+struct IngestResult {
+  double reports_per_sec = 0;
+  double executed_ratio = 0;
+  std::vector<std::string> unexecuted;
+};
+
+IngestResult run_ingest(std::uint32_t n_collectors,
+                        std::uint64_t frames_per_collector) {
   CollectorCluster cluster(config(), n_collectors);
   const CollectorSelector selector(config(), n_collectors);
   const ReportCrafter crafter(config());
@@ -182,6 +195,7 @@ double run_ingest(std::uint32_t n_collectors,
   }
 
   std::atomic<bool> go{false};
+  std::vector<std::uint64_t> executed(n_collectors, 0);
   std::vector<std::thread> threads;
   threads.reserve(n_collectors);
   for (std::uint32_t c = 0; c < n_collectors; ++c) {
@@ -190,9 +204,11 @@ double run_ingest(std::uint32_t n_collectors,
       }
       auto& rnic = cluster.collector(c).rnic();
       const auto& pool = pools[c];
+      std::uint64_t done = 0;
       for (std::uint64_t i = 0; i < frames_per_collector; ++i) {
-        (void)rnic.process_frame(pool[i & (kPoolSize - 1)]);
+        done += rnic.process_frame(pool[i & (kPoolSize - 1)]).has_value();
       }
+      executed[c] = done;
     });
   }
 
@@ -202,7 +218,26 @@ double run_ingest(std::uint32_t n_collectors,
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  return static_cast<double>(frames_per_collector) * n_collectors / seconds;
+
+  IngestResult r;
+  r.reports_per_sec =
+      static_cast<double>(frames_per_collector) * n_collectors / seconds;
+  std::uint64_t total = 0;
+  for (std::uint32_t c = 0; c < n_collectors; ++c) {
+    total += executed[c];
+    const auto& rc = cluster.collector(c).ingest_counters();
+    if (executed[c] != frames_per_collector || rc.frames != rc.executed) {
+      r.unexecuted.push_back(
+          "collector " + std::to_string(c) + " of " +
+          std::to_string(n_collectors) + ": " + std::to_string(executed[c]) +
+          " of " + std::to_string(frames_per_collector) +
+          " frames executed (RNIC counted " + std::to_string(rc.executed) +
+          " of " + std::to_string(rc.frames) + ")");
+    }
+  }
+  r.executed_ratio = static_cast<double>(total) /
+                     static_cast<double>(frames_per_collector * n_collectors);
+  return r;
 }
 
 }  // namespace
@@ -232,10 +267,14 @@ int main(int argc, char** argv) {
   Table t({"collectors", "aggregate reports/s", "keys moved (1 leave)",
            "bound 2K/C", "modulo would move", "balance"});
   std::uint64_t restore_mismatch = 0;
+  std::vector<std::string> unexecuted;
   for (std::size_t i = 0; i < kCounts.size(); ++i) {
     const std::uint32_t c = kCounts[i];
     const MoveStats& m = moves[i];
-    const double rate = run_ingest(c, frames);
+    const IngestResult ingest = run_ingest(c, frames);
+    const double rate = ingest.reports_per_sec;
+    unexecuted.insert(unexecuted.end(), ingest.unexecuted.begin(),
+                      ingest.unexecuted.end());
     const double expected_share =
         static_cast<double>(flows) / static_cast<double>(c);
     restore_mismatch += m.restore_mismatch + m.movement_violations;
@@ -248,6 +287,7 @@ int main(int argc, char** argv) {
 
     const std::string p = "c" + std::to_string(c) + "_";
     json.result(p + "aggregate_reports_per_sec", rate);
+    json.result(p + "executed_ratio", ingest.executed_ratio);
     json.result(p + "expected_share", expected_share);
     json.result(p + "keys_moved_single_leave",
                 static_cast<double>(m.keys_moved_ring));
@@ -270,5 +310,11 @@ int main(int argc, char** argv) {
       "out of cores (this box has %u) — in deployment each collector is its\n"
       "own machine and the NIC, not a core, does this work.\n",
       hw);
+  if (!unexecuted.empty()) {
+    for (const auto& why : unexecuted) {
+      std::fprintf(stderr, "FAIL: %s\n", why.c_str());
+    }
+    return 1;
+  }
   return 0;
 }

@@ -234,7 +234,8 @@ else:
         print(f"FAIL: {sc_path}: needs >= 2 pool sizes, got {counts}")
         failures += 1
     for c in counts:
-        for key in ["aggregate_reports_per_sec", "expected_share",
+        for key in ["aggregate_reports_per_sec", "executed_ratio",
+                    "expected_share",
                     "keys_moved_single_leave", "keys_moved_modulo",
                     "balance_ratio", "restore_mismatch",
                     "movement_violations"]:
@@ -246,6 +247,11 @@ else:
             continue
         if not results[f"c{c}_aggregate_reports_per_sec"] > 0:
             print(f"FAIL: {sc_path}: c{c}: ingest rate not > 0")
+            failures += 1
+        if results[f"c{c}_executed_ratio"] != 1:
+            print(f"FAIL: {sc_path}: c{c}: executed_ratio "
+                  f"{results[f'c{c}_executed_ratio']!r} != 1 (frames counted "
+                  f"as ingested were not executed)")
             failures += 1
         bound = 2.0 * results[f"c{c}_expected_share"]
         moved = results[f"c{c}_keys_moved_single_leave"]
