@@ -22,11 +22,11 @@ bool SimulatedRnic::consume_stall() noexcept {
   return false;
 }
 
-void SimulatedRnic::flush(const Chunk& c) noexcept {
-  if (c.executed != 0) counters_.executed += c.executed;
-  if (c.writes != 0) counters_.writes += c.writes;
-  if (c.fetch_adds != 0) counters_.fetch_adds += c.fetch_adds;
-  if (c.accepted != 0) c.accepted_qp->count_accepted(c.accepted);
+void SimulatedRnic::flush(const Chunk& chunk) noexcept {
+  if (chunk.executed != 0) counters_.executed += chunk.executed;
+  if (chunk.writes != 0) counters_.writes += chunk.writes;
+  if (chunk.fetch_adds != 0) counters_.fetch_adds += chunk.fetch_adds;
+  if (chunk.accepted != 0) chunk.accepted_qp->count_accepted(chunk.accepted);
 }
 
 std::optional<Completion> SimulatedRnic::process_frame(
@@ -44,7 +44,7 @@ std::optional<Completion> SimulatedRnic::process_frame(
 }
 
 std::optional<Completion> SimulatedRnic::dispatch_classified(
-    const WireClass& cls, Chunk& c) {
+    const WireClass& cls, Chunk& chunk) {
   using V = WireClass::Verdict;
   switch (cls.verdict) {
     case V::kNotUdp:
@@ -52,7 +52,7 @@ std::optional<Completion> SimulatedRnic::dispatch_classified(
       return std::nullopt;
     case V::kOtherPort:
       if (dta_enabled_ && cls.udp_dst_port == kDtaUdpPort) {
-        return execute_multiwrite(cls.udp_payload, c);
+        return execute_multiwrite(cls.udp_payload, chunk);
       }
       ++counters_.not_roce;
       return std::nullopt;
@@ -63,14 +63,14 @@ std::optional<Completion> SimulatedRnic::dispatch_classified(
       ++counters_.bad_opcode;
       return std::nullopt;
     case V::kOk:
-      return admit_and_execute(cls.req, c);
+      return admit_and_execute(cls.req, chunk);
   }
   return std::nullopt;  // unreachable
 }
 
 std::optional<Completion> SimulatedRnic::admit_and_execute(
-    const RoceRequest& req, Chunk& c) {
-  QueuePair* qp = find_qp(req.bth.dest_qp, c);
+    const RoceRequest& req, Chunk& chunk) {
+  QueuePair* qp = find_qp(req.bth.dest_qp, chunk);
   if (qp == nullptr) {
     ++counters_.unknown_qp;
     return std::nullopt;
@@ -92,13 +92,13 @@ std::optional<Completion> SimulatedRnic::admit_and_execute(
     ++counters_.psn_rejected;
     return std::nullopt;
   }
-  tally_accepted(qp, c);
+  tally_accepted(qp, chunk);
 
-  auto completion = execute(req, c);
+  auto completion = execute(req, chunk);
   if (completion) {
     completion->qpn = qp->qpn();
     // PD check happens inside execute() via the MR; verify it matched the QP.
-    ++c.executed;
+    ++chunk.executed;
     if (hook_) hook_(*completion);
   }
   return completion;
@@ -113,9 +113,9 @@ std::size_t SimulatedRnic::process_frames(
     Entry() noexcept {}
     WireClass cls;
   };
+  std::size_t executed = 0;
   Entry entry[kBurst];
   bool stalled[kBurst];
-  std::size_t executed = 0;
   for (std::size_t base = 0; base < frames.size(); base += kBurst) {
     const std::size_t m = std::min(kBurst, frames.size() - base);
     Chunk chunk;
@@ -168,19 +168,19 @@ std::size_t SimulatedRnic::process_frames(
 }
 
 std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
-                                                 Chunk& c) {
+                                                 Chunk& chunk) {
   const bool atomic = is_atomic(req.bth.opcode);
   const std::uint64_t vaddr =
       atomic ? req.atomic_eth->vaddr : req.reth->vaddr;
   const std::uint32_t rkey = atomic ? req.atomic_eth->rkey : req.reth->rkey;
   const std::uint64_t len = atomic ? 8 : req.payload.size();
 
-  const MemoryRegion* mr = find_mr(rkey, c);
+  const MemoryRegion* mr = find_mr(rkey, chunk);
   if (mr == nullptr) {
     ++counters_.bad_rkey;
     return std::nullopt;
   }
-  QueuePair* qp = find_qp(req.bth.dest_qp, c);
+  QueuePair* qp = find_qp(req.bth.dest_qp, chunk);
   if (qp != nullptr && qp->pd() != mr->pd) {
     ++counters_.pd_mismatch;
     return std::nullopt;
@@ -195,15 +195,15 @@ std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
     return std::nullopt;
   }
 
-  Completion done{};
-  done.opcode = req.bth.opcode;
-  done.vaddr = vaddr;
-  done.length = static_cast<std::uint32_t>(len);
+  Completion c{};
+  c.opcode = req.bth.opcode;
+  c.vaddr = vaddr;
+  c.length = static_cast<std::uint32_t>(len);
 
   if (!atomic) {
     std::memcpy(mr->at(vaddr), req.payload.data(), req.payload.size());
-    ++c.writes;
-    return done;
+    ++chunk.writes;
+    return c;
   }
 
   // Atomics operate on naturally aligned 64-bit words, big-endian on the
@@ -214,12 +214,12 @@ std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
   }
   std::uint64_t prior;
   std::memcpy(&prior, mr->at(vaddr), 8);
-  done.atomic_prior = prior;
+  c.atomic_prior = prior;
 
   if (req.bth.opcode == Opcode::kRcFetchAdd) {
     const std::uint64_t next = prior + req.atomic_eth->swap_add;
     std::memcpy(mr->at(vaddr), &next, 8);
-    ++c.fetch_adds;
+    ++chunk.fetch_adds;
   } else {  // CompareSwap
     ++counters_.compare_swaps;
     if (prior == req.atomic_eth->compare) {
@@ -228,11 +228,11 @@ std::optional<Completion> SimulatedRnic::execute(const RoceRequest& req,
       ++counters_.cas_mismatches;
     }
   }
-  return done;
+  return c;
 }
 
 std::optional<Completion> SimulatedRnic::execute_multiwrite(
-    std::span<const std::byte> udp_payload, Chunk& c) {
+    std::span<const std::byte> udp_payload, Chunk& chunk) {
   const auto mw = parse_multiwrite(udp_payload);
   if (!mw) {
     ++counters_.bad_icrc;  // CRC/format failure, same class as a bad iCRC
@@ -258,17 +258,16 @@ std::optional<Completion> SimulatedRnic::execute_multiwrite(
   for (const auto vaddr : mw->vaddrs) {
     std::memcpy(mr->at(vaddr), mw->payload.data(), mw->payload.size());
   }
-  c.writes += mw->vaddrs.size();
+  chunk.writes += mw->vaddrs.size();
   ++counters_.multiwrite_frames;
-  ++c.executed;
+  ++chunk.executed;
 
-  Completion done{};
-  done.opcode = Opcode::kRcRdmaWriteOnly;  // closest CQE analogue
-  done.vaddr = mw->vaddrs.front();
-  done.length =
-      static_cast<std::uint32_t>(mw->payload.size() * mw->vaddrs.size());
-  if (hook_) hook_(done);
-  return done;
+  Completion c{};
+  c.opcode = Opcode::kRcRdmaWriteOnly;  // closest CQE analogue
+  c.vaddr = mw->vaddrs.front();
+  c.length = static_cast<std::uint32_t>(mw->payload.size() * mw->vaddrs.size());
+  if (hook_) hook_(c);
+  return c;
 }
 
 void SimulatedRnic::receive(net::Packet packet, std::uint64_t /*now_ns*/) {

@@ -187,32 +187,35 @@ class SimulatedRnic : public net::Node {
     std::uint64_t accepted = 0;
   };
 
-  [[nodiscard]] const MemoryRegion* find_mr(std::uint32_t rkey, Chunk& c) {
-    if (!c.mr_set || c.rkey != rkey) {
-      c.mr = memory_.find_by_rkey(rkey);
-      c.rkey = rkey;
-      c.mr_set = true;
+  [[nodiscard]] const MemoryRegion* find_mr(std::uint32_t rkey,
+                                            Chunk& chunk) {
+    if (!chunk.mr_set || chunk.rkey != rkey) {
+      chunk.mr = memory_.find_by_rkey(rkey);
+      chunk.rkey = rkey;
+      chunk.mr_set = true;
     }
-    return c.mr;
+    return chunk.mr;
   }
-  [[nodiscard]] QueuePair* find_qp(std::uint32_t qpn, Chunk& c) {
-    if (!c.qp_set || c.qpn != qpn) {
-      c.qp = qps_.find(qpn);
-      c.qpn = qpn;
-      c.qp_set = true;
+  [[nodiscard]] QueuePair* find_qp(std::uint32_t qpn, Chunk& chunk) {
+    if (!chunk.qp_set || chunk.qpn != qpn) {
+      chunk.qp = qps_.find(qpn);
+      chunk.qpn = qpn;
+      chunk.qp_set = true;
     }
-    return c.qp;
+    return chunk.qp;
   }
-  static void tally_accepted(QueuePair* qp, Chunk& c) noexcept {
-    if (qp != c.accepted_qp) {
-      if (c.accepted != 0) c.accepted_qp->count_accepted(c.accepted);
-      c.accepted_qp = qp;
-      c.accepted = 0;
+  static void tally_accepted(QueuePair* qp, Chunk& chunk) noexcept {
+    if (qp != chunk.accepted_qp) {
+      if (chunk.accepted != 0) {
+        chunk.accepted_qp->count_accepted(chunk.accepted);
+      }
+      chunk.accepted_qp = qp;
+      chunk.accepted = 0;
     }
-    ++c.accepted;
+    ++chunk.accepted;
   }
   // Adds the chunk's tallies to the shared counters.
-  void flush(const Chunk& c) noexcept;
+  void flush(const Chunk& chunk) noexcept;
 
   // True if this frame was eaten by an injected stall (counts it too).
   [[nodiscard]] bool consume_stall() noexcept;
@@ -221,13 +224,13 @@ class SimulatedRnic : public net::Node {
   // is no UDP datagram, or one to a port that is neither 4791 nor the
   // enabled DTA port, counts as not_roce.
   std::optional<Completion> dispatch_classified(const WireClass& cls,
-                                                Chunk& c);
+                                                Chunk& chunk);
   // QP admission (state / transport class / PSN window) then execute.
   std::optional<Completion> admit_and_execute(const RoceRequest& req,
-                                              Chunk& c);
-  std::optional<Completion> execute(const RoceRequest& req, Chunk& c);
+                                              Chunk& chunk);
+  std::optional<Completion> execute(const RoceRequest& req, Chunk& chunk);
   std::optional<Completion> execute_multiwrite(
-      std::span<const std::byte> udp_payload, Chunk& c);
+      std::span<const std::byte> udp_payload, Chunk& chunk);
 
   MemoryRegistry memory_;
   QpRegistry qps_;
