@@ -83,8 +83,10 @@ std::vector<std::vector<std::byte>> write_frame_pool(
 }
 
 // Raw CRC-32 kernel cost at datapath-relevant sizes: 44 B is the craft
-// path's resumed iCRC region, 88 B the fused classifier buffer, 94 B a full
-// report frame, 1500 B an MTU frame (streaming throughput).
+// path's resumed iCRC region, 88 B all the iCRC covers of a 20-byte-value
+// report (the classifier runs it as a 48-byte masked head plus a 40-byte
+// tail resumed in place), 94 B a full report frame, 1500 B an MTU frame
+// (streaming throughput).
 void BM_Crc32(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> buf(len);
